@@ -49,11 +49,22 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+fn backend_queue(queue: Result<Mg1, QueueError>) -> Result<Mg1, ModelError> {
+    queue.map_err(|e| match e {
+        QueueError::Unstable { utilization } => ModelError::UnstableBackend { utilization },
+        QueueError::InvalidArrivalRate(r) => panic!("validated params produced invalid rate {r}"),
+    })
+}
+
 /// The backend model of one storage device.
 pub struct BackendModel {
     mg1: Mg1,
     union: Arc<UnionOperation>,
     disk_queue: Option<Mm1k>,
+    /// The parameters and variant this model was built from, kept only when
+    /// the union law depends on the arrival rate (`N_be > 1`, whose disk
+    /// law is an M/M/1/K sojourn), so [`BackendModel::scaled`] can rebuild.
+    rate_dependent: Option<Box<(DeviceParams, ModelVariant)>>,
 }
 
 impl std::fmt::Debug for BackendModel {
@@ -62,6 +73,7 @@ impl std::fmt::Debug for BackendModel {
             .field("utilization", &self.mg1.utilization())
             .field("union_mean", &ServiceTime::mean(&*self.union))
             .field("disk_queue", &self.disk_queue)
+            .field("rate_invariant", &self.rate_invariant())
             .finish()
     }
 }
@@ -131,18 +143,48 @@ impl BackendModel {
             data_law,
             extra_reads,
         ));
-        let mg1 =
-            Mg1::new(per_process_rate, union.clone() as DynServiceTime).map_err(|e| match e {
-                QueueError::Unstable { utilization } => ModelError::UnstableBackend { utilization },
-                QueueError::InvalidArrivalRate(r) => {
-                    panic!("validated params produced invalid rate {r}")
-                }
-            })?;
+        let mg1 = backend_queue(Mg1::new(per_process_rate, union.clone() as DynServiceTime))?;
         Ok(BackendModel {
             mg1,
             union,
             disk_queue,
+            rate_dependent: (nbe > 1).then(|| Box::new((params.clone(), variant))),
         })
+    }
+
+    /// Whether the union-operation law is independent of the arrival rate
+    /// (`N_be = 1`), so that [`BackendModel::scaled`] shares it and its
+    /// transform values carry over between rates.
+    pub fn rate_invariant(&self) -> bool {
+        self.rate_dependent.is_none()
+    }
+
+    /// The same device with its arrival and data-read rates multiplied by
+    /// `k` (the factor [`SystemParams::scaled_to_rate`](crate::SystemParams::scaled_to_rate)
+    /// applies). A rate-invariant model shares this one's union-operation
+    /// law and rebuilds only its M/G/1 queue; otherwise the model is
+    /// rebuilt from its parameters, equal to
+    /// [`BackendModel::new`] on the scaled parameters to the last bit.
+    pub fn scaled(&self, k: f64) -> Result<Self, ModelError> {
+        match &self.rate_dependent {
+            None => Ok(BackendModel {
+                mg1: backend_queue(self.mg1.at_rate(self.mg1.arrival_rate() * k))?,
+                union: self.union.clone(),
+                disk_queue: None,
+                rate_dependent: None,
+            }),
+            Some(template) => {
+                let (params, variant) = &**template;
+                BackendModel::new(
+                    &DeviceParams {
+                        arrival_rate: params.arrival_rate * k,
+                        data_read_rate: params.data_read_rate * k,
+                        ..params.clone()
+                    },
+                    *variant,
+                )
+            }
+        }
     }
 
     /// Utilization of one backend process queue.
@@ -182,25 +224,36 @@ impl BackendModel {
         self.mg1.waiting_lst_batch(s, out)
     }
 
-    /// Evaluates both Eq. 1 transforms — the backend response `S_be` and
-    /// the waiting time `W_be` — for a whole abscissa batch with **one**
-    /// pass over the union-operation components.
+    /// The union-law half of a batch evaluation of both Eq. 1 transforms,
+    /// the backend response `S_be` and the waiting time `W_be`: the
+    /// response tail into `tail` and the full union-operation LST into
+    /// `union`, with **one** pass over the union-operation components.
+    /// Independent of the arrival rate when [`BackendModel::rate_invariant`].
     ///
     /// The scalar path evaluates every component LST three times per
     /// abscissa (once inside `W_be`'s full union LST, once for the response
     /// tail, and — under the Full/ODOPR WTA composition — once more for the
     /// repeated `W_be` factor); here the shared `parse·index·meta·data`
-    /// product is computed once and reused. Outputs are bit-identical to
+    /// product is computed once and reused.
+    pub fn union_lst_batch(
+        &self,
+        s: &[Complex64],
+        tail: &mut [Complex64],
+        union: &mut [Complex64],
+    ) {
+        self.union.response_and_union_lst_batch(s, tail, union);
+    }
+
+    /// The queue half: takes [`BackendModel::union_lst_batch`]'s outputs in
+    /// `sojourn` (the tail) and `waiting` (the union LST) and finishes both
+    /// through the P–K transform in place. Outputs are bit-identical to
     /// [`BackendModel::sojourn_lst`] / [`BackendModel::waiting_lst`].
-    pub fn sojourn_and_waiting_lst_batch(
+    pub fn sojourn_and_waiting_given_union_batch(
         &self,
         s: &[Complex64],
         sojourn: &mut [Complex64],
         waiting: &mut [Complex64],
     ) {
-        // `sojourn` holds the response tail, `waiting` the full union LST…
-        self.union.response_and_union_lst_batch(s, sojourn, waiting);
-        // …then both are finished through the P–K transform per point.
         for i in 0..s.len() {
             let w = self.mg1.waiting_lst_given_service(s[i], waiting[i]);
             waiting[i] = w;

@@ -36,7 +36,15 @@ impl std::fmt::Debug for FrontendSetParams {
 /// servers, and the distribution of queueing latencies can be calculated
 /// separately").
 pub struct FrontendModel {
-    sets: Vec<(f64, Mg1)>,
+    sets: Vec<FrontendSet>,
+}
+
+/// One homogeneous set: its normalized traffic share, process count and
+/// per-process parse queue.
+struct FrontendSet {
+    share: f64,
+    processes: usize,
+    queue: Mg1,
 }
 
 impl std::fmt::Debug for FrontendModel {
@@ -48,8 +56,8 @@ impl std::fmt::Debug for FrontendModel {
     }
 }
 
-fn build_mg1(rate: f64, parse: cos_queueing::DynServiceTime) -> Result<Mg1, ModelError> {
-    Mg1::new(rate, parse).map_err(|e| match e {
+fn frontend_queue(queue: Result<Mg1, QueueError>) -> Result<Mg1, ModelError> {
+    queue.map_err(|e| match e {
         QueueError::Unstable { utilization } => ModelError::UnstableFrontend { utilization },
         QueueError::InvalidArrivalRate(r) => panic!("validated params produced invalid rate {r}"),
     })
@@ -59,9 +67,13 @@ impl FrontendModel {
     /// Builds a homogeneous frontend model.
     pub fn new(params: &FrontendParams) -> Result<Self, ModelError> {
         params.validate();
-        let mg1 = build_mg1(params.per_process_rate(), params.parse_fe.clone())?;
+        let queue = frontend_queue(Mg1::new(params.per_process_rate(), params.parse_fe.clone()))?;
         Ok(FrontendModel {
-            sets: vec![(1.0, mg1)],
+            sets: vec![FrontendSet {
+                share: 1.0,
+                processes: params.processes,
+                queue,
+            }],
         })
     }
 
@@ -86,14 +98,40 @@ impl FrontendModel {
             assert!(set.processes >= 1, "each set needs at least one process");
             let share = set.share / share_sum;
             let per_process = total_rate * share / set.processes as f64;
-            out.push((share, build_mg1(per_process, set.parse_fe.clone())?));
+            out.push(FrontendSet {
+                share,
+                processes: set.processes,
+                queue: frontend_queue(Mg1::new(per_process, set.parse_fe.clone()))?,
+            });
         }
         Ok(FrontendModel { sets: out })
     }
 
+    /// The same tier at another total arrival rate: same sets, shares and
+    /// parse laws, per-process queues rebuilt. Equal to a fresh
+    /// [`FrontendModel::new`] / [`FrontendModel::heterogeneous`] at
+    /// `total_rate` to the last bit.
+    pub fn at_rate(&self, total_rate: f64) -> Result<Self, ModelError> {
+        let sets = self
+            .sets
+            .iter()
+            .map(|set| {
+                let per_process = total_rate * set.share / set.processes as f64;
+                Ok(FrontendSet {
+                    queue: frontend_queue(set.queue.at_rate(per_process))?,
+                    ..*set
+                })
+            })
+            .collect::<Result<_, ModelError>>()?;
+        Ok(FrontendModel { sets })
+    }
+
     /// Traffic-weighted utilization across sets.
     pub fn utilization(&self) -> f64 {
-        self.sets.iter().map(|(w, q)| w * q.utilization()).sum()
+        self.sets
+            .iter()
+            .map(|set| set.share * set.queue.utilization())
+            .sum()
     }
 
     /// LST of `S_q`: the share-weighted mixture of per-set P–K sojourn
@@ -101,28 +139,59 @@ impl FrontendModel {
     pub fn sojourn_lst(&self, s: Complex64) -> Complex64 {
         self.sets
             .iter()
-            .map(|(w, q)| q.sojourn_lst(s) * *w)
+            .map(|set| set.queue.sojourn_lst(s) * set.share)
             .fold(Complex64::ZERO, |a, b| a + b)
     }
 
-    /// Batch [`FrontendModel::sojourn_lst`]: one per-set sojourn batch,
-    /// accumulated in set order (the scalar fold), bit-identical to the
-    /// scalar path.
+    /// Batch [`FrontendModel::sojourn_lst`]: one parse-law batch per set
+    /// ([`FrontendModel::parse_lst_batch`]), finished by
+    /// [`FrontendModel::sojourn_lst_given_parse_batch`]. Bit-identical to
+    /// the scalar path.
     pub fn sojourn_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+        let parse = self.parse_lst_batch(s);
+        self.sojourn_lst_given_parse_batch(s, &parse, out);
+    }
+
+    /// The rate-invariant half of [`FrontendModel::sojourn_lst_batch`]:
+    /// each set's parse-law LST at every abscissa, in set order.
+    pub fn parse_lst_batch(&self, s: &[Complex64]) -> Vec<Vec<Complex64>> {
+        self.sets
+            .iter()
+            .map(|set| {
+                let mut lb = vec![Complex64::ZERO; s.len()];
+                set.queue.service().lst_batch(s, &mut lb);
+                lb
+            })
+            .collect()
+    }
+
+    /// The rate-dependent half of [`FrontendModel::sojourn_lst_batch`]: the
+    /// per-set P–K sojourns from `parse` (as returned by
+    /// [`FrontendModel::parse_lst_batch`] for these abscissae, possibly by a
+    /// model of the same tier at another rate), accumulated in set order
+    /// (the scalar fold).
+    pub fn sojourn_lst_given_parse_batch(
+        &self,
+        s: &[Complex64],
+        parse: &[Vec<Complex64>],
+        out: &mut [Complex64],
+    ) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        assert_eq!(parse.len(), self.sets.len(), "one parse batch per set");
         out.fill(Complex64::ZERO);
-        let mut tmp = vec![Complex64::ZERO; s.len()];
-        for (w, q) in &self.sets {
-            q.sojourn_lst_batch(s, &mut tmp);
-            for (o, t) in out.iter_mut().zip(tmp.iter()) {
-                *o += *t * *w;
+        for (set, lb) in self.sets.iter().zip(parse) {
+            for i in 0..s.len() {
+                out[i] += set.queue.sojourn_lst_given_service(s[i], lb[i]) * set.share;
             }
         }
     }
 
     /// Mean frontend sojourn (share-weighted).
     pub fn mean_sojourn(&self) -> f64 {
-        self.sets.iter().map(|(w, q)| w * q.mean_sojourn()).sum()
+        self.sets
+            .iter()
+            .map(|set| set.share * set.queue.mean_sojourn())
+            .sum()
     }
 }
 

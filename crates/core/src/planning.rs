@@ -80,8 +80,17 @@ impl SystemParams {
 }
 
 /// Overload control (§I): the largest total arrival rate at which the goal
-/// still holds, found by bisection over `[0, upper]`. Returns `None` if the
-/// goal fails even as the rate approaches zero.
+/// still holds, scaling `template` by [`SystemParams::scaled_to_rate`].
+///
+/// The search starts from the bracket `[upper·1e-4, upper]`. It returns
+/// `None` if the goal fails already at `upper·1e-4`, `Some(upper)` if it
+/// holds at `upper`, and otherwise the passing end of the bracket after 50
+/// bisection halvings.
+///
+/// The model is built once, at `upper·1e-4`, and every probe moves it with
+/// [`SystemModel::at_rate`] through one [`SystemModel::rate_sweep`] at the
+/// goal's SLA, so the component transforms are evaluated once per call
+/// rather than once per probe.
 pub fn max_admissible_rate(
     template: &SystemParams,
     variant: ModelVariant,
@@ -92,12 +101,14 @@ pub fn max_admissible_rate(
         upper > 0.0 && upper.is_finite(),
         "upper bound must be positive"
     );
-    let ok = |rate: f64| -> bool {
-        SystemModel::new(&template.scaled_to_rate(rate), variant)
-            .map(|m| goal.met_by(&m))
-            .unwrap_or(false)
-    };
     let mut lo = upper * 1e-4;
+    let base = model_at_rate(template, variant, lo).ok()?;
+    let sweep = base.rate_sweep(goal.sla);
+    let ok = |rate: f64| -> bool {
+        sweep
+            .fraction_meeting_sla(rate)
+            .is_ok_and(|f| f >= goal.target_fraction)
+    };
     if !ok(lo) {
         return None;
     }
@@ -111,64 +122,6 @@ pub fn max_admissible_rate(
             lo = mid;
         } else {
             hi = mid;
-        }
-    }
-    Some(lo)
-}
-
-/// Parallel [`max_admissible_rate`]: each refinement round probes a
-/// **fixed** grid of 8 interior rates concurrently on `workers` threads
-/// (via [`cos_par::par_map`]) and shrinks the bracket to the last-passing /
-/// first-failing pair. Probe positions depend only on the bracket — never
-/// on scheduling — so the result is **identical for every worker count**,
-/// including `workers = 1`.
-///
-/// Sixteen 9-fold shrink rounds refine past the serial version's 50
-/// bisection halvings, so the two agree to the same tolerance, but the
-/// parallel version's wall-clock is `rounds × slowest-probe` instead of
-/// `50 × probe`.
-pub fn max_admissible_rate_par(
-    template: &SystemParams,
-    variant: ModelVariant,
-    goal: SlaGoal,
-    upper: f64,
-    workers: usize,
-) -> Option<f64> {
-    assert!(
-        upper > 0.0 && upper.is_finite(),
-        "upper bound must be positive"
-    );
-    let ok = |rate: f64| -> bool {
-        SystemModel::new(&template.scaled_to_rate(rate), variant)
-            .map(|m| goal.met_by(&m))
-            .unwrap_or(false)
-    };
-    let mut lo = upper * 1e-4;
-    if !ok(lo) {
-        return None;
-    }
-    let mut hi = upper;
-    if ok(hi) {
-        return Some(hi);
-    }
-    const PROBES: usize = 8;
-    const ROUNDS: usize = 16;
-    for _ in 0..ROUNDS {
-        let step = (hi - lo) / (PROBES + 1) as f64;
-        let rates: Vec<f64> = (1..=PROBES).map(|k| lo + step * k as f64).collect();
-        let passed = cos_par::par_map(workers, &rates, |_, &r| ok(r));
-        // The goal is monotone in rate, so results form a true… false…
-        // prefix; scan in rate order (par_map preserves it) for the edge.
-        for (&rate, &p) in rates.iter().zip(&passed) {
-            if p {
-                lo = rate;
-            } else {
-                hi = rate;
-                break;
-            }
-        }
-        if hi - lo <= 1e-9 * upper {
-            break;
         }
     }
     Some(lo)
@@ -373,35 +326,5 @@ mod tests {
     #[should_panic]
     fn goal_rejects_bad_fraction() {
         SlaGoal::new(0.1, 1.5);
-    }
-
-    #[test]
-    fn parallel_admissible_rate_is_worker_count_independent() {
-        let goal = SlaGoal::new(0.100, 0.90);
-        let t = template(100.0);
-        let one = max_admissible_rate_par(&t, ModelVariant::Full, goal, 1000.0, 1).unwrap();
-        for workers in [2, 4, 7] {
-            let w = max_admissible_rate_par(&t, ModelVariant::Full, goal, 1000.0, workers).unwrap();
-            assert_eq!(
-                one.to_bits(),
-                w.to_bits(),
-                "workers={workers}: {one} vs {w}"
-            );
-        }
-        // And it agrees with the serial bisection to fine tolerance.
-        let serial = max_admissible_rate(&t, ModelVariant::Full, goal, 1000.0).unwrap();
-        assert!(
-            (one - serial).abs() / serial < 1e-4,
-            "par {one} vs serial {serial}"
-        );
-    }
-
-    #[test]
-    fn parallel_admissible_rate_none_for_impossible_goal() {
-        let goal = SlaGoal::new(0.001, 0.999);
-        assert_eq!(
-            max_admissible_rate_par(&template(100.0), ModelVariant::Full, goal, 500.0, 4),
-            None
-        );
     }
 }

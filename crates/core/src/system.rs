@@ -68,6 +68,76 @@ impl SystemModel {
         })
     }
 
+    /// The same system at total arrival rate `total_rate`, every device's
+    /// rate scaled by the common factor [`SystemParams::scaled_to_rate`]
+    /// uses. The new model shares this one's component laws (parse laws,
+    /// union operations) and rebuilds only the rate-dependent queues; an
+    /// `N_be > 1` device, whose M/M/1/K disk law depends on the rate, is
+    /// rebuilt from its scaled parameters. Fails like [`SystemModel::new`]
+    /// where a queue would be unstable.
+    ///
+    /// # Panics
+    /// Panics unless `total_rate` is positive and finite.
+    pub fn at_rate(&self, total_rate: f64) -> Result<Self, ModelError> {
+        assert!(
+            total_rate.is_finite() && total_rate > 0.0,
+            "rate must be positive"
+        );
+        let k = total_rate / self.total_rate();
+        let frontend = self.frontend.at_rate(total_rate)?;
+        let devices = self
+            .devices
+            .iter()
+            .map(|d| {
+                Ok(DeviceModel {
+                    backend: d.backend.scaled(k)?,
+                    arrival_rate: d.arrival_rate * k,
+                    variant: d.variant,
+                })
+            })
+            .collect::<Result<Vec<_>, ModelError>>()?;
+        Ok(SystemModel {
+            frontend,
+            devices,
+            variant: self.variant,
+            inversion: self.inversion,
+        })
+    }
+
+    /// The rate-invariant half of [`SystemModel::fraction_meeting_sla`] at
+    /// `sla`, evaluated once, for sweeping this system over arrival rates
+    /// (see [`RateSweep`]).
+    ///
+    /// # Panics
+    /// Panics unless `sla` is positive and finite.
+    pub fn rate_sweep(&self, sla: f64) -> RateSweep<'_> {
+        assert!(
+            sla > 0.0 && sla.is_finite(),
+            "SLA must be positive, got {sla}"
+        );
+        let abscissae = self.inversion.abscissae(sla);
+        let parse = self.frontend.parse_lst_batch(&abscissae);
+        let devices = self
+            .devices
+            .iter()
+            .map(|d| {
+                d.backend.rate_invariant().then(|| {
+                    let mut tail = vec![Complex64::ZERO; abscissae.len()];
+                    let mut union = vec![Complex64::ZERO; abscissae.len()];
+                    d.backend.union_lst_batch(&abscissae, &mut tail, &mut union);
+                    (tail, union)
+                })
+            })
+            .collect();
+        RateSweep {
+            template: self,
+            sla,
+            abscissae,
+            parse,
+            devices,
+        }
+    }
+
     /// Overrides the Laplace-inversion configuration.
     pub fn with_inversion(mut self, inversion: InversionConfig) -> Self {
         self.inversion = inversion;
@@ -126,17 +196,36 @@ impl SystemModel {
     /// Batch [`SystemModel::device_response_lst`]: the frontend mixture,
     /// the backend response, and the WTA factor share one pass over the
     /// component transforms (see
-    /// [`BackendModel::sojourn_and_waiting_lst_batch`]) instead of
+    /// [`BackendModel::union_lst_batch`]) instead of
     /// re-walking the whole composite tree per abscissa. Bit-identical to
     /// the scalar path.
     pub fn device_response_lst_batch(&self, idx: usize, s: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
-        let d = &self.devices[idx];
-        let mut sojourn = vec![Complex64::ZERO; s.len()];
-        let mut waiting = vec![Complex64::ZERO; s.len()];
-        d.backend
-            .sojourn_and_waiting_lst_batch(s, &mut sojourn, &mut waiting);
+        let mut tail = vec![Complex64::ZERO; s.len()];
+        let mut union = vec![Complex64::ZERO; s.len()];
+        self.devices[idx]
+            .backend
+            .union_lst_batch(s, &mut tail, &mut union);
         self.frontend.sojourn_lst_batch(s, out);
+        self.device_response_given_union_batch(idx, s, out, &mut tail, &mut union);
+    }
+
+    /// The rate-dependent half of [`SystemModel::device_response_lst_batch`]:
+    /// `out` holds the frontend sojourn `S_q`, `sojourn`/`waiting` the
+    /// device's [`BackendModel::union_lst_batch`] outputs (used as scratch).
+    /// Finishes the backend through the P–K transform and composes Eq. 2
+    /// with the variant's WTA factor into `out`.
+    fn device_response_given_union_batch(
+        &self,
+        idx: usize,
+        s: &[Complex64],
+        out: &mut [Complex64],
+        sojourn: &mut [Complex64],
+        waiting: &mut [Complex64],
+    ) {
+        let d = &self.devices[idx];
+        d.backend
+            .sojourn_and_waiting_given_union_batch(s, sojourn, waiting);
         match d.variant {
             ModelVariant::Full | ModelVariant::Odopr => {
                 for i in 0..s.len() {
@@ -175,12 +264,21 @@ impl SystemModel {
     /// Predicted percentile of requests meeting `sla` for the whole system
     /// (Eq. 3).
     pub fn fraction_meeting_sla(&self, sla: f64) -> f64 {
-        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
+        self.rate_weighted(|i| self.device_fraction_meeting(i, sla))
+    }
+
+    /// Eq. 3's mixture of per-device values, weighted by arrival rate.
+    fn rate_weighted(&self, per_device: impl Fn(usize) -> f64) -> f64 {
         let mut acc = 0.0;
         for (i, d) in self.devices.iter().enumerate() {
-            acc += d.arrival_rate * self.device_fraction_meeting(i, sla);
+            acc += d.arrival_rate * per_device(i);
         }
-        acc / total_rate
+        acc / self.total_rate()
+    }
+
+    /// Total arrival rate over devices.
+    fn total_rate(&self) -> f64 {
+        self.devices.iter().map(|d| d.arrival_rate).sum()
     }
 
     /// Mean end-to-end response latency for device `idx`.
@@ -198,13 +296,12 @@ impl SystemModel {
 
     /// Mean system response latency (rate-weighted over devices).
     pub fn mean_response(&self) -> f64 {
-        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
         self.devices
             .iter()
             .enumerate()
             .map(|(i, d)| d.arrival_rate * self.device_mean_response(i))
             .sum::<f64>()
-            / total_rate
+            / self.total_rate()
     }
 
     /// Latency bound met by fraction `p` of requests (inverse of Eq. 3),
@@ -241,6 +338,107 @@ impl LaplaceFn for DeviceResponseLst<'_> {
     }
     fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
         self.model.device_response_lst_batch(self.idx, s, out)
+    }
+}
+
+/// A system's attainment at one SLA as a function of its total arrival
+/// rate — the probe of a rate search such as
+/// [`max_admissible_rate`](crate::max_admissible_rate).
+///
+/// Under [`SystemModel::at_rate`] the component transforms do not depend on
+/// the rate: the frontend parse laws and each `N_be = 1` device's union
+/// operation (response tail and full union LST) take the same values at
+/// the SLA's inversion abscissae at every rate. They are evaluated once,
+/// here. Each probe then pays only the rate-dependent half: the P–K finish
+/// of every queue, the WTA composition and the inversion sums. An
+/// `N_be > 1` device's union law depends on the rate through its M/M/1/K
+/// disk, so it is evaluated per probe.
+///
+/// [`RateSweep::fraction_meeting_sla`] is bit-identical to
+/// `template.at_rate(rate)?.fraction_meeting_sla(sla)`: it runs the same
+/// operations in the same order and grouping, on values computed once
+/// instead of per probe.
+pub struct RateSweep<'a> {
+    template: &'a SystemModel,
+    sla: f64,
+    abscissae: Vec<Complex64>,
+    /// Per frontend set: the parse-law LST at `abscissae`.
+    parse: Vec<Vec<Complex64>>,
+    /// Per device: the response tail and union LST at `abscissae`, or
+    /// `None` where the union law depends on the rate.
+    devices: Vec<Option<(Vec<Complex64>, Vec<Complex64>)>>,
+}
+
+impl std::fmt::Debug for RateSweep<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RateSweep")
+            .field("sla", &self.sla)
+            .field("abscissae", &self.abscissae.len())
+            .field(
+                "hoisted_devices",
+                &self.devices.iter().filter(|d| d.is_some()).count(),
+            )
+            .finish()
+    }
+}
+
+impl RateSweep<'_> {
+    /// Fraction of requests meeting the SLA at total arrival rate
+    /// `total_rate`; fails where a queue would be unstable.
+    pub fn fraction_meeting_sla(&self, total_rate: f64) -> Result<f64, ModelError> {
+        let model = self.template.at_rate(total_rate)?;
+        let mut frontend = vec![Complex64::ZERO; self.abscissae.len()];
+        model
+            .frontend
+            .sojourn_lst_given_parse_batch(&self.abscissae, &self.parse, &mut frontend);
+        Ok(model.rate_weighted(|idx| {
+            cos_numeric::cdf_from_lst(
+                &SweptResponseLst {
+                    sweep: self,
+                    model: &model,
+                    frontend: &frontend,
+                    idx,
+                },
+                self.sla,
+                &model.inversion,
+            )
+        }))
+    }
+}
+
+/// [`LaplaceFn`] view of one device's response transform in a
+/// [`RateSweep`] probe: at the sweep's abscissae it finishes the hoisted
+/// values; anywhere else it evaluates the probe model in full.
+struct SweptResponseLst<'a> {
+    sweep: &'a RateSweep<'a>,
+    model: &'a SystemModel,
+    /// The probe's frontend sojourn `S_q` at the sweep's abscissae.
+    frontend: &'a [Complex64],
+    idx: usize,
+}
+
+impl LaplaceFn for SweptResponseLst<'_> {
+    fn eval(&self, s: Complex64) -> Complex64 {
+        self.model.device_response_lst(self.idx, s)
+    }
+    fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+        if s != self.sweep.abscissae.as_slice() {
+            return self.model.device_response_lst_batch(self.idx, s, out);
+        }
+        let (mut tail, mut union) = match &self.sweep.devices[self.idx] {
+            Some((tail, union)) => (tail.clone(), union.clone()),
+            None => {
+                let mut tail = vec![Complex64::ZERO; s.len()];
+                let mut union = vec![Complex64::ZERO; s.len()];
+                self.model.devices[self.idx]
+                    .backend
+                    .union_lst_batch(s, &mut tail, &mut union);
+                (tail, union)
+            }
+        };
+        out.copy_from_slice(self.frontend);
+        self.model
+            .device_response_given_union_batch(self.idx, s, out, &mut tail, &mut union);
     }
 }
 

@@ -260,6 +260,21 @@ impl InversionConfig {
         }
     }
 
+    /// The abscissae at which [`InversionConfig::invert`] evaluates a
+    /// transform to invert it at `t > 0`: every inversion at `t` under this
+    /// configuration passes exactly these points, in this order, to one
+    /// [`LaplaceFn::eval_batch`] call. Callers that evaluate many related
+    /// transforms at one `t` use it to compute the factors those transforms
+    /// share once, ahead of the inversions.
+    pub fn abscissae(&self, t: f64) -> Vec<Complex64> {
+        let terms = self.effective_terms();
+        match self.algorithm {
+            InversionAlgorithm::Euler => euler_abscissae(t, terms),
+            InversionAlgorithm::Talbot => talbot_abscissae(t, terms),
+            InversionAlgorithm::GaverStehfest => gaver_stehfest_abscissae(t, terms),
+        }
+    }
+
     /// Invert `transform` at time `t` with this configuration.
     ///
     /// Out-of-range term counts are clamped per algorithm (see
@@ -287,6 +302,9 @@ pub fn euler<F: LaplaceFn>(transform: &F, t: f64) -> f64 {
 }
 
 const M_EULER: usize = 11;
+
+/// Euler's discretization parameter `A`: aliasing error ≈ e^{−A}.
+const EULER_A: f64 = 18.4;
 
 /// Binomial (Euler) averaging weights `C(11, j) / 2^11`, precomputed. The
 /// numerators are exact in f64 and `2^-11` is a power of two, so each entry
@@ -319,16 +337,8 @@ const EULER_WEIGHTS: [f64; M_EULER + 1] = [
 /// All `n + 12` abscissae are gathered up front and evaluated through one
 /// [`LaplaceFn::eval_batch`] call.
 pub fn euler_m<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
-    assert!(t > 0.0, "euler inversion requires t > 0, got {t}");
-    assert!(n >= 1, "euler inversion requires at least 1 burn-in term");
-    const A: f64 = 18.4;
-    let x = A / (2.0 * t);
+    let abscissae = euler_abscissae(t, n);
     let total = n + M_EULER;
-    let mut abscissae = Vec::with_capacity(total + 1);
-    abscissae.push(Complex64::from_real(x));
-    for k in 1..=total {
-        abscissae.push(Complex64::new(x, k as f64 * std::f64::consts::PI / t));
-    }
     let mut values = vec![Complex64::ZERO; total + 1];
     transform.eval_batch(&abscissae, &mut values);
 
@@ -354,7 +364,21 @@ pub fn euler_m<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
     for (&w, &p) in EULER_WEIGHTS.iter().zip(partials.iter()) {
         avg += w * p;
     }
-    (A / 2.0).exp() / t * avg
+    (EULER_A / 2.0).exp() / t * avg
+}
+
+/// Euler's `n + 12` Bromwich abscissae `A/2t + ikπ/t`, `k = 0..=n+11`.
+fn euler_abscissae(t: f64, n: usize) -> Vec<Complex64> {
+    assert!(t > 0.0, "euler inversion requires t > 0, got {t}");
+    assert!(n >= 1, "euler inversion requires at least 1 burn-in term");
+    let x = EULER_A / (2.0 * t);
+    let total = n + M_EULER;
+    let mut abscissae = Vec::with_capacity(total + 1);
+    abscissae.push(Complex64::from_real(x));
+    for k in 1..=total {
+        abscissae.push(Complex64::new(x, k as f64 * std::f64::consts::PI / t));
+    }
+    abscissae
 }
 
 /// Inverts `F(s)` at `t > 0` with the fixed Talbot algorithm and default order.
@@ -364,29 +388,40 @@ pub fn talbot<F: LaplaceFn>(transform: &F, t: f64) -> f64 {
 
 /// Fixed Talbot algorithm with `n` contour points (Abate & Valkó).
 pub fn talbot_n<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
-    assert!(t > 0.0, "talbot inversion requires t > 0, got {t}");
-    assert!(n >= 2, "talbot inversion requires at least 2 points");
+    let abscissae = talbot_abscissae(t, n);
     let r = 2.0 * n as f64 / (5.0 * t);
-    let mut abscissae = Vec::with_capacity(n);
-    let mut sigmas = Vec::with_capacity(n);
-    abscissae.push(Complex64::from_real(r));
-    sigmas.push(Complex64::ONE); // unused for k = 0
-    for k in 1..n {
-        let theta = k as f64 * std::f64::consts::PI / n as f64;
-        let cot = theta.cos() / theta.sin();
-        abscissae.push(Complex64::new(r * theta * cot, r * theta));
-        // dσ/dθ factor: 1 + i θ (1 + cot²) − i cot  (scaled by contour radius)
-        sigmas.push(Complex64::new(1.0, theta * (1.0 + cot * cot) - cot));
-    }
     let mut values = vec![Complex64::ZERO; n];
     transform.eval_batch(&abscissae, &mut values);
     // k = 0 term: contour point is the real number r.
     let mut sum = 0.5 * (values[0] * (r * t).exp()).re;
     for k in 1..n {
+        let (theta, cot) = talbot_angle(k, n);
+        // dσ/dθ factor: 1 + i θ (1 + cot²) − i cot  (scaled by contour radius)
+        let sigma = Complex64::new(1.0, theta * (1.0 + cot * cot) - cot);
         let e = (abscissae[k] * t).exp();
-        sum += (e * values[k] * sigmas[k]).re;
+        sum += (e * values[k] * sigma).re;
     }
     r / n as f64 * sum
+}
+
+/// Angle `θ_k = kπ/n` of the `k`-th Talbot contour point and `cot θ_k`.
+fn talbot_angle(k: usize, n: usize) -> (f64, f64) {
+    let theta = k as f64 * std::f64::consts::PI / n as f64;
+    (theta, theta.cos() / theta.sin())
+}
+
+/// The `n` fixed-Talbot contour points `r θ (cot θ + i)`, `r = 2n/5t`.
+fn talbot_abscissae(t: f64, n: usize) -> Vec<Complex64> {
+    assert!(t > 0.0, "talbot inversion requires t > 0, got {t}");
+    assert!(n >= 2, "talbot inversion requires at least 2 points");
+    let r = 2.0 * n as f64 / (5.0 * t);
+    let mut abscissae = Vec::with_capacity(n);
+    abscissae.push(Complex64::from_real(r));
+    for k in 1..n {
+        let (theta, cot) = talbot_angle(k, n);
+        abscissae.push(Complex64::new(r * theta * cot, r * theta));
+    }
+    abscissae
 }
 
 /// Inverts `F(s)` at `t > 0` with Gaver–Stehfest and default order (14).
@@ -438,21 +473,14 @@ fn stehfest_coefficients(n: usize) -> Arc<Vec<f64>> {
 
 /// Gaver–Stehfest with `n` terms (`n` even, ≤ 18 in double precision).
 pub fn gaver_stehfest_n<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
-    assert!(t > 0.0, "gaver-stehfest inversion requires t > 0, got {t}");
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "gaver-stehfest requires an even term count >= 2"
-    );
     debug_assert!(
         n <= GAVER_STEHFEST_MAX_TERMS,
         "gaver-stehfest with {n} terms exceeds f64 precision \
          (max {GAVER_STEHFEST_MAX_TERMS})"
     );
+    let abscissae = gaver_stehfest_abscissae(t, n);
     let ln2_t = std::f64::consts::LN_2 / t;
     let coefficients = stehfest_coefficients(n);
-    let abscissae: Vec<Complex64> = (1..=n)
-        .map(|k| Complex64::from_real(k as f64 * ln2_t))
-        .collect();
     let mut values = vec![Complex64::ZERO; n];
     transform.eval_batch(&abscissae, &mut values);
     let mut sum = 0.0;
@@ -460,6 +488,19 @@ pub fn gaver_stehfest_n<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) 
         sum += c * v.re;
     }
     ln2_t * sum
+}
+
+/// The `n` real Gaver–Stehfest points `k ln2 / t`, `k = 1..=n`.
+fn gaver_stehfest_abscissae(t: f64, n: usize) -> Vec<Complex64> {
+    assert!(t > 0.0, "gaver-stehfest inversion requires t > 0, got {t}");
+    assert!(
+        n >= 2 && n.is_multiple_of(2),
+        "gaver-stehfest requires an even term count >= 2"
+    );
+    let ln2_t = std::f64::consts::LN_2 / t;
+    (1..=n)
+        .map(|k| Complex64::from_real(k as f64 * ln2_t))
+        .collect()
 }
 
 /// Evaluates the CDF of a nonnegative random variable at `t`, given the LST of
@@ -839,5 +880,47 @@ mod tests {
     #[should_panic]
     fn gaver_stehfest_rejects_odd_terms() {
         gaver_stehfest_n(&exp_lst(1.0), 1.0, 7);
+    }
+
+    /// Records the abscissae of every batch it is asked for.
+    struct Recording(std::cell::RefCell<Vec<Vec<Complex64>>>);
+
+    impl LaplaceFn for Recording {
+        fn eval(&self, s: Complex64) -> Complex64 {
+            exp_lst(2.0)(s)
+        }
+        fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+            self.0.borrow_mut().push(s.to_vec());
+            for (s, o) in s.iter().zip(out.iter_mut()) {
+                *o = self.eval(*s);
+            }
+        }
+    }
+
+    #[test]
+    fn abscissae_are_exactly_the_points_invert_evaluates() {
+        for (algorithm, terms) in [
+            (InversionAlgorithm::Euler, 100),
+            (InversionAlgorithm::Euler, 7),
+            (InversionAlgorithm::Talbot, 32),
+            (InversionAlgorithm::GaverStehfest, 14),
+        ] {
+            let cfg = InversionConfig { algorithm, terms };
+            for &t in &[0.003, 0.05, 1.7] {
+                let rec = Recording(Default::default());
+                cfg.invert(&rec, t);
+                let seen = rec.0.into_inner();
+                assert_eq!(seen.len(), 1, "{algorithm:?}: one batch per inversion");
+                let want = cfg.abscissae(t);
+                assert_eq!(seen[0].len(), want.len(), "{algorithm:?} t={t}");
+                for (a, b) in seen[0].iter().zip(&want) {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "{algorithm:?} t={t}"
+                    );
+                }
+            }
+        }
     }
 }

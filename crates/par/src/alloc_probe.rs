@@ -18,6 +18,11 @@
 //! 3. The bench diffs [`tracked_allocs`] around a traffic window and
 //!    divides by requests served.
 //!
+//! Each opted-in thread also keeps its own count
+//! ([`thread_tracked_allocs`]), so a check of one thread's allocations is
+//! not disturbed by other threads that opt in at the same time — as the
+//! tests of this module do, on parallel test threads.
+//!
 //! Only allocation *events* are counted (alloc, realloc, alloc_zeroed —
 //! not dealloc): the claim under test is "the hot path does not go to the
 //! allocator", and frees pair with allocations anyway.
@@ -36,6 +41,7 @@ static TRACKED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TRACKED: Cell<bool> = const { Cell::new(false) };
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Opts the current thread in (or out) of allocation counting. Cheap
@@ -50,10 +56,17 @@ pub fn tracked_allocs() -> u64 {
     TRACKED_ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The current thread's share of [`tracked_allocs`]: allocation events
+/// counted while this thread was opted in.
+pub fn thread_tracked_allocs() -> u64 {
+    THREAD_ALLOCS.try_with(|n| n.get()).unwrap_or(0)
+}
+
 #[inline]
 fn count() {
     if TRACKED.try_with(|t| t.get()).unwrap_or(false) {
         TRACKED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -89,17 +102,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 mod tests {
     use super::*;
 
-    // The test binary does not install `CountingAlloc`, so `tracked_allocs`
-    // stays flat no matter what — which is itself the documented contract
-    // for production binaries. The flag plumbing is still exercisable.
+    // The test binary does not install `CountingAlloc`, so this thread's
+    // count stays flat no matter what — which is itself the documented
+    // contract for production binaries. The flag plumbing is still
+    // exercisable. (The process total is not flat: the test below calls the
+    // wrapper directly, possibly at the same time on another thread.)
     #[test]
     fn flag_round_trips_and_counter_is_flat_without_installation() {
         track_current_thread(true);
-        let before = tracked_allocs();
+        let before = thread_tracked_allocs();
         let v: Vec<u64> = (0..1000).collect();
         assert_eq!(v.len(), 1000);
         assert_eq!(
-            tracked_allocs(),
+            thread_tracked_allocs(),
             before,
             "counter moved without CountingAlloc installed"
         );
@@ -114,14 +129,15 @@ mod tests {
         let layout = Layout::from_size_align(64, 8).unwrap();
 
         track_current_thread(false);
-        let before = tracked_allocs();
+        let before = thread_tracked_allocs();
+        let total_before = tracked_allocs();
         // SAFETY: valid layout; the pointer is freed immediately below.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
             a.dealloc(p, layout);
         }
-        assert_eq!(tracked_allocs(), before, "untracked thread counted");
+        assert_eq!(thread_tracked_allocs(), before, "untracked thread counted");
 
         track_current_thread(true);
         // SAFETY: as above.
@@ -136,10 +152,44 @@ mod tests {
             a.dealloc(z2, Layout::from_size_align(128, 8).unwrap());
         }
         assert_eq!(
-            tracked_allocs(),
+            thread_tracked_allocs(),
             before + 3,
             "alloc + alloc_zeroed + realloc each count once; dealloc never"
         );
+        // The process total includes them (and whatever other threads
+        // counted meanwhile).
+        assert!(tracked_allocs() >= total_before + 3);
         track_current_thread(false);
+    }
+
+    // Counts are per thread: a thread's events show in its own count and
+    // the process total, never in another thread's count.
+    #[test]
+    fn counts_are_kept_per_thread_and_summed_in_the_total() {
+        let a = CountingAlloc;
+        let layout = Layout::from_size_align(32, 8).unwrap();
+        let mine = thread_tracked_allocs();
+        let total_before = tracked_allocs();
+        let theirs = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    track_current_thread(true);
+                    for _ in 0..5 {
+                        // SAFETY: valid layout; freed right away.
+                        unsafe {
+                            let p = a.alloc(layout);
+                            assert!(!p.is_null());
+                            a.dealloc(p, layout);
+                        }
+                    }
+                    track_current_thread(false);
+                    thread_tracked_allocs()
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(theirs, 5);
+        assert_eq!(thread_tracked_allocs(), mine);
+        assert!(tracked_allocs() >= total_before + 5);
     }
 }

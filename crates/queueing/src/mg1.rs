@@ -84,6 +84,25 @@ impl Mg1 {
         })
     }
 
+    /// The same service law at another arrival rate, reusing this queue's
+    /// service moments; equal to `Mg1::new(arrival_rate, self.service().clone())`
+    /// to the last bit. Rejects `ρ ≥ 1` like [`Mg1::new`].
+    pub fn at_rate(&self, arrival_rate: f64) -> Result<Self, QueueError> {
+        if !(arrival_rate.is_finite() && arrival_rate > 0.0) {
+            return Err(QueueError::InvalidArrivalRate(arrival_rate));
+        }
+        let utilization = arrival_rate * self.service_mean;
+        if utilization >= 1.0 {
+            return Err(QueueError::Unstable { utilization });
+        }
+        Ok(Mg1 {
+            arrival_rate,
+            service: self.service.clone(),
+            utilization,
+            ..*self
+        })
+    }
+
     /// Arrival rate `λ`.
     pub fn arrival_rate(&self) -> f64 {
         self.arrival_rate
@@ -126,6 +145,13 @@ impl Mg1 {
         s * (1.0 - self.utilization) / denom
     }
 
+    /// Sojourn transform `L_W(s)·L_B(s)` given `lb = L_B(s)`, with the same
+    /// contract as [`Mg1::waiting_lst_given_service`].
+    #[inline]
+    pub fn sojourn_lst_given_service(&self, s: Complex64, lb: Complex64) -> Complex64 {
+        self.waiting_lst_given_service(s, lb) * lb
+    }
+
     /// LST of the waiting-time distribution (P–K transform).
     pub fn waiting_lst(&self, s: Complex64) -> Complex64 {
         self.waiting_lst_given_service(s, self.service.lst(s))
@@ -153,8 +179,7 @@ impl Mg1 {
     pub fn sojourn_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
         self.service.lst_batch(s, out);
         for (s, o) in s.iter().zip(out.iter_mut()) {
-            let lb = *o;
-            *o = self.waiting_lst_given_service(*s, lb) * lb;
+            *o = self.sojourn_lst_given_service(*s, *o);
         }
     }
 
@@ -296,6 +321,29 @@ mod tests {
         // Mean also agrees.
         let sim_mean = waits.iter().sum::<f64>() / waits.len() as f64;
         assert!((sim_mean - q.mean_waiting()).abs() / q.mean_waiting() < 0.05);
+    }
+
+    #[test]
+    fn at_rate_equals_a_fresh_queue() {
+        use cos_distr::Gamma;
+        let q = Mg1::new(20.0, from_distribution(Gamma::new(2.0, 80.0))).unwrap();
+        let s = Complex64::new(3.0, 40.0);
+        for rate in [1.0, 13.7, 31.9] {
+            let moved = q.at_rate(rate).unwrap();
+            let fresh = Mg1::new(rate, q.service().clone()).unwrap();
+            assert_eq!(moved.utilization().to_bits(), fresh.utilization().to_bits());
+            assert_eq!(
+                moved.mean_waiting().to_bits(),
+                fresh.mean_waiting().to_bits()
+            );
+            let (a, b) = (moved.sojourn_lst(s), fresh.sojourn_lst(s));
+            assert_eq!(
+                (a.re.to_bits(), a.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits())
+            );
+        }
+        assert!(matches!(q.at_rate(40.0), Err(QueueError::Unstable { .. })));
+        assert!(q.at_rate(0.0).is_err());
     }
 
     #[test]
