@@ -7,15 +7,16 @@
 //! / `BENCH_gate.json` / `BENCH_ctrl.json` / `BENCH_coded.json`, alongside
 //! the frozen pre-optimization numbers (`baseline`) so the speedup is
 //! auditable from the committed files. For the gate file both sections are
-//! measured on the *same run*: `baseline` is the blocking
-//! thread-per-connection server, `current` the event-driven reactor (both
-//! on the lock-free snapshot read path; the baseline section additionally
-//! carries a same-run worker-read-path reference so the snapshot-vs-worker
-//! ratio stays auditable). For the ctrl file: `baseline` is the snapshot
-//! gate with no controller, `current` the same gate with admission control
-//! deciding every request. For the coded file: `baseline` is the plain
-//! replica model predicting coded quantiles as if no stripe join existed,
-//! `current` the fork-join [`CodedReadModel`] on the same seeded runs.
+//! measured on the *same run* of the event-driven reactor: `baseline` is
+//! the worker-channel read path paired with the lock-free snapshot path
+//! it is measured against (best-of-three at 4 clients), `current` the
+//! snapshot-path throughput ladder plus the reactor's syscall, allocation,
+//! trigger-mode and accept-mode cells. For the ctrl file: `baseline` is
+//! the snapshot gate with no controller, `current` the same gate with
+//! admission control deciding every request. For the coded file:
+//! `baseline` is the plain replica model predicting coded quantiles as if
+//! no stripe join existed, `current` the fork-join [`CodedReadModel`] on
+//! the same seeded runs.
 //!
 //! Usage:
 //!   cargo run --release -p cos-bench --bin perf_baseline
@@ -29,10 +30,9 @@
 //!       and BENCH_coded.json), if the obs hot path or the per-request
 //!       admission decision blows its absolute budget, if the snapshot
 //!       read path fails to beat the worker path at 4 concurrent clients,
-//!       if the reactor serves warm 16-client load slower than the
-//!       thread-per-connection server, if the edge-triggered reactor is
-//!       slower than the level-triggered one (same run, best-of-three), if
-//!       the reactor's warm window blows its syscalls-per-request or
+//!       if the edge-triggered reactor is slower than the level-triggered
+//!       one (same run, best-of-three), if the reactor's warm window
+//!       blows its syscalls-per-request or
 //!       allocations-per-request budget, if any coded-read cell breaks
 //!       its bracket / accuracy / inversion-cost budget, if the batched
 //!       fleet refit fails its speedup floor (full runs on boxes with
@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use cos_bench::json::{self, Value};
 use cos_distr::{Degenerate, Gamma};
-use cos_gate::{AcceptMode, Gate, GateConfig, ReadPath, ServerMode};
+use cos_gate::{AcceptMode, Gate, GateConfig, ReadPath};
 use cos_model::{
     model_at_rate, CodedReadModel, CodingSpec, DeviceParams, FrontendParams, ModelVariant,
     SystemModel, SystemParams,
@@ -225,14 +225,6 @@ const OBS_RECORD_BUDGET_NS: f64 = 100.0;
 /// tolerate CI noise.
 const GATE_WARM_4C_MIN_RATIO: f64 = 1.5;
 
-/// Minimum same-run warm-cache throughput ratio (reactor /
-/// thread-per-connection, snapshot read path, 16 concurrent clients)
-/// enforced in `--check` mode: the event-driven reactor must never serve
-/// slower than the blocking architecture it replaced. The committed
-/// `BENCH_gate.json` shows the full-run ratio (target ≥ 2x); the floor
-/// only guards against regressions under CI noise.
-const GATE_REACTOR_MIN_RATIO: f64 = 1.0;
-
 /// Minimum same-run 16-client serial-RPC throughput ratio
 /// (edge-triggered / level-triggered reactor, both best-of-three)
 /// enforced in `--check` mode. Serial round trips make per-request
@@ -381,24 +373,15 @@ fn throughput(addr: SocketAddr, per_client_targets: Vec<Vec<String>>) -> f64 {
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Measures one server mode's warm and cold multi-client throughput on the
+/// Measures the reactor's warm and cold multi-client throughput on the
 /// snapshot read path, scaling warm load to 64 clients (and 256 when
-/// `include_256c` — the territory past the thread-per-connection ceiling).
-/// `cold_block` hands out disjoint SLA ranges so a "cold" query is never
-/// accidentally resident from an earlier phase (both gates share the
-/// service's one cache).
-fn bench_gate_mode(
-    handle: &ServiceHandle,
-    mode: ServerMode,
-    quick: bool,
-    cold_block: &mut usize,
-    include_256c: bool,
-) -> Vec<(&'static str, f64)> {
+/// `include_256c`). Cold queries use SLAs no other phase asks, so they
+/// are never accidentally resident in the service's one cache.
+fn bench_gate(handle: &ServiceHandle, quick: bool, include_256c: bool) -> Vec<(&'static str, f64)> {
     let warm_n = if quick { 200 } else { 1500 };
     let cold_n = if quick { 60 } else { 300 };
     let config = GateConfig::builder()
         .read_path(ReadPath::Snapshot)
-        .server_mode(mode)
         .max_connections(512)
         .build()
         .expect("gate config");
@@ -418,25 +401,22 @@ fn bench_gate_mode(
     };
     let warm_1 = warm(1);
     let warm_4 = warm(4);
-    // Cost the reactor's warm 16-client window in syscalls and reactor-
-    // thread heap allocations per served request (the thread-per-conn
-    // server is uninstrumented, so only the reactor reports these).
-    let probe_before = (mode == ServerMode::Reactor)
-        .then(|| (gate.syscalls(), cos_par::alloc_probe::tracked_allocs()));
+    // Cost the warm 16-client window in syscalls and reactor-thread heap
+    // allocations per served request.
+    let sys_before = gate.syscalls();
+    let allocs_before = cos_par::alloc_probe::tracked_allocs();
     let warm_16 = warm(16);
-    let per_req = probe_before.map(|(sys_before, allocs_before)| {
-        let requests = (16 * warm_n) as f64;
-        let syscalls = gate.syscalls().since(&sys_before).total() as f64 / requests;
-        let allocs = (cos_par::alloc_probe::tracked_allocs() - allocs_before) as f64 / requests;
-        (syscalls, allocs)
-    });
+    let requests = (16 * warm_n) as f64;
+    let syscalls_per_req = gate.syscalls().since(&sys_before).total() as f64 / requests;
+    let allocs_per_req = (cos_par::alloc_probe::tracked_allocs() - allocs_before) as f64 / requests;
     let warm_64 = warm(64);
     let warm_256 = include_256c.then(|| warm(256));
 
+    let mut cold_block = 0usize;
     let mut cold = |clients: usize| {
         let targets = (0..clients)
             .map(|c| {
-                let slot = *cold_block * 16 + c;
+                let slot = cold_block * 16 + c;
                 (0..cold_n)
                     .map(|i| {
                         format!(
@@ -447,7 +427,7 @@ fn bench_gate_mode(
                     .collect()
             })
             .collect();
-        *cold_block += 1;
+        cold_block += 1;
         throughput(addr, targets)
     };
     let cold_1 = cold(1);
@@ -465,11 +445,9 @@ fn bench_gate_mode(
     }
     rows.push(("cold_1c_rps", cold_1));
     rows.push(("cold_4c_rps", cold_4));
-    if let Some((syscalls, allocs)) = per_req {
-        rows.push(("syscalls_per_req", syscalls));
-        rows.push(("allocs_per_req", allocs));
-        rows.push(("accept_sharded", f64::from(sharded)));
-    }
+    rows.push(("syscalls_per_req", syscalls_per_req));
+    rows.push(("allocs_per_req", allocs_per_req));
+    rows.push(("accept_sharded", f64::from(sharded)));
     rows
 }
 
@@ -577,7 +555,6 @@ fn gate_trigger_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
     let spawn = |mode: TriggerMode| {
         let config = GateConfig::builder()
             .read_path(ReadPath::Snapshot)
-            .server_mode(ServerMode::Reactor)
             .trigger_mode(mode)
             .max_connections(512)
             .build()
@@ -630,7 +607,6 @@ fn gate_accept_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
     let spawn = |mode: AcceptMode| {
         let config = GateConfig::builder()
             .read_path(ReadPath::Snapshot)
-            .server_mode(ServerMode::Reactor)
             .accept_mode(mode)
             .reactor_threads(threads)
             .max_connections(512)
@@ -667,11 +643,8 @@ fn gate_accept_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
 }
 
 /// Same-run snapshot-vs-worker warm 4-client comparison, both read paths
-/// under the thread-per-connection server — the architecture the
-/// historical 1.5x floor was established on (under the reactor the
-/// pipelined worker channel behaves differently, so the floor only holds
-/// mode-for-mode). Each side is best-of-three: scheduler noise on a
-/// loaded CI box only ever subtracts throughput, so the max of repeated
+/// served by the reactor. Each side is best-of-three: scheduler noise on
+/// a loaded CI box only ever subtracts throughput, so the max of repeated
 /// short windows is the least-biased estimate. Returns
 /// `(snapshot_rps, worker_rps)`.
 fn gate_read_path_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
@@ -679,7 +652,6 @@ fn gate_read_path_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
     let bench = |path: ReadPath| {
         let config = GateConfig::builder()
             .read_path(path)
-            .server_mode(ServerMode::ThreadPerConn)
             .max_connections(512)
             .build()
             .expect("gate config");
@@ -772,14 +744,12 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     )
 }
 
-/// Multi-client loopback throughput of the two gate server architectures
-/// against one calibrated service: `baseline` = blocking
-/// thread-per-connection, `current` = event-driven reactor, both on the
-/// lock-free snapshot read path. Same process, same run, same cache. The
-/// baseline section also carries the paired best-of-three
-/// snapshot-vs-worker reference at 4 clients (so the read-path speedup
-/// from the earlier snapshot work stays auditable mode-for-mode) and the
-/// reactor section records its thread count.
+/// Multi-client loopback throughput of the reactor gate against one
+/// calibrated service, same process, same run, same cache: `baseline` =
+/// the paired best-of-three snapshot-vs-worker read paths at 4 clients
+/// (so the read-path speedup stays auditable), `current` = the snapshot
+/// path's throughput ladder, per-request costs, the trigger-mode and
+/// accept-mode pairs, and the reactor thread count.
 #[allow(clippy::type_complexity)]
 fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>) {
     let mut service = SlaService::new(gate_base(), ServeConfig::default());
@@ -788,18 +758,12 @@ fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     }
     service.refit_now();
     let handle = service.spawn();
-    let mut cold_block = 0usize;
-    let mut tpc = bench_gate_mode(
-        &handle,
-        ServerMode::ThreadPerConn,
-        quick,
-        &mut cold_block,
-        false,
-    );
     let (snap_best, worker_best) = gate_read_path_pair(&handle, quick);
-    tpc.push(("snapshot_warm_4c_best_rps", snap_best));
-    tpc.push(("worker_warm_4c_best_rps", worker_best));
-    let mut reactor = bench_gate_mode(&handle, ServerMode::Reactor, quick, &mut cold_block, !quick);
+    let read_paths = vec![
+        ("snapshot_warm_4c_best_rps", snap_best),
+        ("worker_warm_4c_best_rps", worker_best),
+    ];
+    let mut reactor = bench_gate(&handle, quick, !quick);
     let (et_best, lt_best) = gate_trigger_pair(&handle, quick);
     reactor.push(("et_rpc_16c_best_rps", et_best));
     reactor.push(("lt_rpc_16c_best_rps", lt_best));
@@ -807,7 +771,7 @@ fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     reactor.push(("sharded_accept_churn_16c_rps", sharded_best));
     reactor.push(("shared_accept_churn_16c_rps", shared_best));
     reactor.push(("reactor_workers", cos_par::default_workers() as f64));
-    (tpc, reactor)
+    (read_paths, reactor)
 }
 
 // --- coded-read accuracy ---------------------------------------------------
@@ -1175,14 +1139,14 @@ fn main() {
     let inv = measure_inversion(quick);
     let sweep = measure_sweep(quick);
     let obs = measure_obs(quick);
-    let (gate_tpc, gate_reactor) = measure_gate(quick);
+    let (gate_read_paths, gate_reactor) = measure_gate(quick);
     let (ctrl_off, ctrl_on) = measure_ctrl(quick);
     let (coded_base, coded_cur) = measure_coded(quick);
     let (fleet_base_rows, fleet_cur) = measure_fleet(quick);
     print_metrics("inversion", &inv);
     print_metrics("sweep", &sweep);
     print_metrics("obs", &obs);
-    print_metrics("gate.thread_per_conn", &gate_tpc);
+    print_metrics("gate.read_path", &gate_read_paths);
     print_metrics("gate.reactor", &gate_reactor);
     print_metrics("ctrl.off", &ctrl_off);
     print_metrics("ctrl.on", &ctrl_on);
@@ -1190,11 +1154,9 @@ fn main() {
     print_metrics("coded.forkjoin", &as_refs(&coded_cur));
     print_metrics("fleet.sequential", &as_refs(&fleet_base_rows));
     print_metrics("fleet.batched", &as_refs(&fleet_cur));
-    let warm_4c_ratio = metric(&gate_tpc, "snapshot_warm_4c_best_rps")
-        / metric(&gate_tpc, "worker_warm_4c_best_rps");
+    let warm_4c_ratio = metric(&gate_read_paths, "snapshot_warm_4c_best_rps")
+        / metric(&gate_read_paths, "worker_warm_4c_best_rps");
     println!("gate.warm_4c_ratio (snapshot/worker): {warm_4c_ratio:.2}x");
-    let reactor_ratio = metric(&gate_reactor, "warm_16c_rps") / metric(&gate_tpc, "warm_16c_rps");
-    println!("gate.warm_16c_ratio (reactor/thread-per-conn): {reactor_ratio:.2}x");
     let et_ratio =
         metric(&gate_reactor, "et_rpc_16c_best_rps") / metric(&gate_reactor, "lt_rpc_16c_best_rps");
     println!("gate.rpc_16c_ratio (edge/level trigger): {et_ratio:.2}x");
@@ -1217,20 +1179,6 @@ fn main() {
         println!(
             "check: snapshot read path {warm_4c_ratio:.2}x worker at 4 clients \
              (>= {GATE_WARM_4C_MIN_RATIO}x)"
-        );
-        // Same-run architecture check: the reactor must serve warm 16-client
-        // load at least as fast as the thread-per-connection server it
-        // replaced as the default.
-        if reactor_ratio < GATE_REACTOR_MIN_RATIO {
-            eprintln!(
-                "check: FAILED: reactor warm_16c_rps only {reactor_ratio:.2}x thread-per-conn \
-                 (need >= {GATE_REACTOR_MIN_RATIO}x)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check: reactor {reactor_ratio:.2}x thread-per-conn at 16 clients \
-             (>= {GATE_REACTOR_MIN_RATIO}x)"
         );
         // Same-run trigger-mode check: edge-triggered registration (the
         // default) must never serve slower than level-triggered.
@@ -1378,7 +1326,7 @@ fn main() {
         .expect("write BENCH_sweep.json");
         std::fs::write(
             "BENCH_gate.json",
-            to_json(&gate_tpc, &gate_reactor).to_string_pretty(),
+            to_json(&gate_read_paths, &gate_reactor).to_string_pretty(),
         )
         .expect("write BENCH_gate.json");
         std::fs::write(

@@ -26,10 +26,9 @@
 //!   per-route request latency, parse/dispatch sub-spans, and counters,
 //!   recorded into the [`cos_obs::Registry`] carried by [`GateConfig`];
 //! * [`server`] — the socket front door: keep-alive, pipelining,
-//!   read/write timeouts, per-request deadlines, connection caps, and a
-//!   graceful shutdown that drains in-flight responses, in either of two
-//!   [`ServerMode`]s;
-//! * [`reactor`] — the default event-driven mode: a fixed pool of
+//!   per-request deadlines, write timeouts, connection caps, and a
+//!   graceful shutdown that drains in-flight responses;
+//! * [`reactor`] — the event-driven core behind it: a fixed pool of
 //!   reactor threads multiplexing nonblocking connections over an
 //!   edge-triggered readiness poller ([`cos_par::poller`]), with sharded
 //!   `SO_REUSEPORT` accept, single-`writev` response flushes, pooled
@@ -65,4 +64,4 @@ pub use routes::{
     classify, decode_events, encode_events, handle, handle_ctrl, handle_full, handle_with_obs,
     status_body, ReadPath,
 };
-pub use server::{AcceptMode, Gate, GateConfig, GateConfigBuilder, InvalidConfig, ServerMode};
+pub use server::{AcceptMode, Gate, GateConfig, GateConfigBuilder, InvalidConfig};

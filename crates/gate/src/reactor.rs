@@ -520,8 +520,7 @@ impl Reactor {
     }
 
     /// Accepts until the listener runs dry. Over-capacity accepts are
-    /// answered `503` and closed, same bytes as the thread-per-connection
-    /// front door.
+    /// answered `503` and closed.
     fn accept_burst(&mut self) {
         loop {
             SyscallCounters::bump(&self.counters.accepts);

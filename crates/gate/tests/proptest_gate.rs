@@ -242,10 +242,7 @@ fn edge_gate_addr() -> std::net::SocketAddr {
         let handle = SlaService::new(base, ServeConfig::default()).spawn();
         let client = handle.client();
         std::mem::forget(handle);
-        let config = cos_gate::GateConfig {
-            server_mode: cos_gate::ServerMode::Reactor,
-            ..cos_gate::GateConfig::default()
-        };
+        let config = cos_gate::GateConfig::default();
         let gate = cos_gate::Gate::bind("127.0.0.1:0", client, config).expect("bind gate");
         let addr = gate.local_addr();
         std::mem::forget(gate);

@@ -20,9 +20,7 @@
 //! tenant-scoped ingest-only endpoint to hand to a telemetry source.
 //!
 //! Queries are [`Query`] values (`service.attainment(&Query::tenant(t)
-//! .sla(0.05))`); the positional methods of the spawned client surface are
-//! kept as deprecated shims that delegate to the `Query` path,
-//! bit-identically.
+//! .sla(0.05))`).
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -1014,122 +1012,6 @@ impl ServiceClient {
     pub fn read_status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
         self.reader.status_for(tenant)
     }
-
-    /// Predicted fraction meeting `sla` at the calibrated operating point.
-    #[deprecated(note = "use attainment(Query::new().sla(sla))")]
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.attainment(Query::new().sla(sla))
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).rate(rate))")]
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.attainment(Query::new().sla(sla).rate(rate))
-    }
-
-    /// Predicted response-latency percentile.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p))")]
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.latency_percentile(Query::new().p(p))
-    }
-
-    /// Overload-control headroom up to `upper` req/s.
-    #[deprecated(note = "use admissible_rate(Query::new().sla(..).target(..).upper(upper))")]
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.admissible_rate(
-            Query::new()
-                .sla(goal.sla)
-                .target(goal.target_fraction)
-                .upper(upper),
-        )
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).n_k(launched, needed))")]
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.attainment(Query::new().sla(sla).n_k(launched, needed))
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p).n_k(launched, needed))")]
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.latency_percentile(Query::new().p(p).n_k(launched, needed))
-    }
-
-    /// Bottleneck ranking, worst device first.
-    #[deprecated(note = "use device_ranking(Query::new().sla(sla))")]
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.device_ranking(Query::new().sla(sla))
-    }
-
-    /// Snapshot-path predict.
-    #[deprecated(note = "use read_attainment(&Query::new().sla(sla))")]
-    pub fn read_predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.reader.attainment(&Query::new().sla(sla))
-    }
-
-    /// Snapshot-path predict-at-rate.
-    #[deprecated(note = "use read_attainment(&Query::new().sla(sla).rate(rate))")]
-    pub fn read_predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.reader.attainment(&Query::new().sla(sla).rate(rate))
-    }
-
-    /// Snapshot-path percentile.
-    #[deprecated(note = "use read_latency_percentile(&Query::new().p(p))")]
-    pub fn read_percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.reader.latency_percentile(&Query::new().p(p))
-    }
-
-    /// Snapshot-path headroom.
-    #[deprecated(note = "use read_admissible_rate(&Query::new().sla(..).target(..).upper(upper))")]
-    pub fn read_headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.reader.admissible_rate(
-            &Query::new()
-                .sla(goal.sla)
-                .target(goal.target_fraction)
-                .upper(upper),
-        )
-    }
-
-    /// Snapshot-path coded fraction.
-    #[deprecated(note = "use read_attainment(&Query::new().sla(sla).n_k(launched, needed))")]
-    pub fn read_coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.reader
-            .attainment(&Query::new().sla(sla).n_k(launched, needed))
-    }
-
-    /// Snapshot-path coded percentile.
-    #[deprecated(note = "use read_latency_percentile(&Query::new().p(p).n_k(launched, needed))")]
-    pub fn read_coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.reader
-            .latency_percentile(&Query::new().p(p).n_k(launched, needed))
-    }
-
-    /// Snapshot-path bottleneck ranking.
-    #[deprecated(note = "use read_device_ranking(&Query::new().sla(sla))")]
-    pub fn read_bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.reader.device_ranking(&Query::new().sla(sla))
-    }
 }
 
 /// Owning handle to a spawned [`SlaService`]: a [`ServiceClient`] plus the
@@ -1215,65 +1097,6 @@ impl ServiceHandle {
     /// Health summary of an arbitrary tenant.
     pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
         self.client.status_for(tenant)
-    }
-
-    /// Predicted fraction meeting `sla` at the calibrated operating point.
-    #[deprecated(note = "use attainment(Query::new().sla(sla))")]
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.client.attainment(Query::new().sla(sla))
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).rate(rate))")]
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.client.attainment(Query::new().sla(sla).rate(rate))
-    }
-
-    /// Predicted response-latency percentile.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p))")]
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.client.latency_percentile(Query::new().p(p))
-    }
-
-    /// Overload-control headroom up to `upper` req/s.
-    #[deprecated(note = "use admissible_rate(Query::new().sla(..).target(..).upper(upper))")]
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.client.admissible_rate(
-            Query::new()
-                .sla(goal.sla)
-                .target(goal.target_fraction)
-                .upper(upper),
-        )
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).n_k(launched, needed))")]
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.client
-            .attainment(Query::new().sla(sla).n_k(launched, needed))
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p).n_k(launched, needed))")]
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.client
-            .latency_percentile(Query::new().p(p).n_k(launched, needed))
-    }
-
-    /// Bottleneck ranking, worst device first.
-    #[deprecated(note = "use device_ranking(Query::new().sla(sla))")]
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.client.device_ranking(Query::new().sla(sla))
     }
 
     /// Stops the service and returns its final state. Outstanding
@@ -1613,62 +1436,6 @@ mod tests {
             .latency_percentile(Query::new().p(0.99).n_k(4, 4))
             .unwrap();
         assert!(p99_44.value >= p99.value);
-        drop(handle);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_are_bit_identical_to_the_query_path() {
-        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
-        let client = handle.client();
-        for ev in events(40.0, 20.0, 2) {
-            client.ingest(ev).unwrap();
-        }
-        client.flush().unwrap();
-        client.refit_now().unwrap();
-
-        let bits = |p: Prediction| p.value.to_bits();
-        assert_eq!(
-            bits(client.predict(0.05).unwrap()),
-            bits(client.attainment(Query::new().sla(0.05)).unwrap())
-        );
-        assert_eq!(
-            bits(client.predict_at_rate(150.0, 0.05).unwrap()),
-            bits(
-                client
-                    .attainment(Query::new().sla(0.05).rate(150.0))
-                    .unwrap()
-            )
-        );
-        assert_eq!(
-            bits(client.percentile(0.95).unwrap()),
-            bits(client.latency_percentile(Query::new().p(0.95)).unwrap())
-        );
-        assert_eq!(
-            bits(client.coded_fraction(4, 2, 0.05).unwrap()),
-            bits(client.attainment(Query::new().sla(0.05).n_k(4, 2)).unwrap())
-        );
-        let goal = SlaGoal::new(0.100, 0.90);
-        let legacy = client.headroom(goal, 2000.0);
-        let new = client.admissible_rate(Query::new().sla(0.100).target(0.90).upper(2000.0));
-        assert_eq!(legacy.map(bits), new.map(bits));
-        assert_eq!(
-            client.bottlenecks(0.05).unwrap(),
-            client.device_ranking(Query::new().sla(0.05)).unwrap()
-        );
-        // Snapshot-path shims.
-        assert_eq!(
-            bits(client.read_predict(0.05).unwrap()),
-            bits(client.read_attainment(&Query::new().sla(0.05)).unwrap())
-        );
-        assert_eq!(
-            bits(client.read_percentile(0.95).unwrap()),
-            bits(
-                client
-                    .read_latency_percentile(&Query::new().p(0.95))
-                    .unwrap()
-            )
-        );
         drop(handle);
     }
 

@@ -18,7 +18,7 @@ use std::sync::mpsc::channel;
 use std::time::Duration;
 
 use cos_bench::scenario::calibrate;
-use cosmodel::gate::{encode_events, json, Gate, GateConfig, ReadPath, ServerMode};
+use cosmodel::gate::{encode_events, handle_full, json, parse_one, Gate, GateConfig, ReadPath};
 use cosmodel::serve::{
     CalibrationBase, CalibratorConfig, DriftConfig, OpClass, ServeConfig, SlaService,
     TelemetryEvent,
@@ -383,12 +383,13 @@ fn worker_and_snapshot_gates_answer_byte_identically() {
     drop(handle);
 }
 
-/// Coded-read smoke over the wire in **both** server modes: the reactor
-/// and the thread-per-connection servers must serve byte-identical coded
-/// percentile/attainment answers (same service, same epoch), the spec is
-/// echoed back, and a `k`-of-`n` join with larger `k` is never faster.
+/// Coded-read smoke over the wire: the gate must serve coded
+/// percentile/attainment answers byte-identical to the in-process route
+/// layer ([`handle_full`] on the snapshot path, same service, same
+/// epoch), the spec is echoed back, and a `k`-of-`n` join with larger `k`
+/// is never faster.
 #[test]
-fn coded_queries_answer_identically_in_both_server_modes() {
+fn coded_queries_answer_identically_on_the_wire_and_in_process() {
     let mut service = SlaService::new(bare_base(), ServeConfig::default());
     let mut i = 0u64;
     let mut t = 0.0;
@@ -417,17 +418,18 @@ fn coded_queries_answer_identically_in_both_server_modes() {
     assert!(service.refit_now(), "deterministic stream must fit");
     let handle = service.spawn();
 
-    let gate_for = |mode: ServerMode| {
-        let config = GateConfig {
-            server_mode: mode,
-            ..GateConfig::default()
-        };
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind")
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut wire = Client::connect(gate.local_addr());
+    let client = handle.client();
+    let in_process = |target: &str| {
+        let raw = format!("GET {target} HTTP/1.1\r\nHost: gate\r\n\r\n");
+        let req = parse_one(raw.as_bytes()).expect("parse").expect("complete");
+        let resp = handle_full(&client, None, ReadPath::Snapshot, &req);
+        (
+            resp.status,
+            String::from_utf8(resp.body).expect("utf-8 body"),
+        )
     };
-    let reactor_gate = gate_for(ServerMode::Reactor);
-    let threaded_gate = gate_for(ServerMode::ThreadPerConn);
-    let mut reactor = Client::connect(reactor_gate.local_addr());
-    let mut threaded = Client::connect(threaded_gate.local_addr());
 
     let targets = [
         "/v1/percentile?p=0.99&n=4&k=2",
@@ -436,11 +438,11 @@ fn coded_queries_answer_identically_in_both_server_modes() {
     ];
     let mut p99 = Vec::new();
     for target in targets {
-        let (rs, rb) = reactor.get(target);
-        let (ts, tb) = threaded.get(target);
-        assert_eq!(rs, 200, "reactor {target}: {rb}");
-        assert_eq!(ts, 200, "thread-per-conn {target}: {tb}");
-        assert_eq!(rb, tb, "bodies differ for {target}");
+        let (rs, rb) = wire.get(target);
+        let (ps, pb) = in_process(target);
+        assert_eq!(rs, 200, "wire {target}: {rb}");
+        assert_eq!(ps, 200, "in-process {target}: {pb}");
+        assert_eq!(rb, pb, "bodies differ for {target}");
         let doc = json::parse(&rb).unwrap();
         assert!(doc.f64_field("n").is_ok(), "spec echoed: {rb}");
         p99.push(doc.f64_field("value").unwrap());
@@ -452,13 +454,13 @@ fn coded_queries_answer_identically_in_both_server_modes() {
         p99[1],
         p99[0]
     );
-    // Malformed specs are rejected on the wire by both servers.
-    let (rs, _) = reactor.get("/v1/percentile?p=0.99&n=4&k=9");
-    let (ts, _) = threaded.get("/v1/percentile?p=0.99&n=4&k=9");
-    assert_eq!((rs, ts), (400, 400));
+    // Malformed specs are rejected identically on the wire and in process.
+    let (rs, rb) = wire.get("/v1/percentile?p=0.99&n=4&k=9");
+    let (ps, pb) = in_process("/v1/percentile?p=0.99&n=4&k=9");
+    assert_eq!((rs, ps), (400, 400));
+    assert_eq!(rb, pb, "refusal bodies differ");
 
-    reactor_gate.shutdown();
-    threaded_gate.shutdown();
+    gate.shutdown();
     drop(handle);
 }
 
@@ -890,9 +892,7 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
         "127.0.0.1:0",
         handle.client(),
         GateConfig {
-            server_mode: ServerMode::Reactor,
             reactor_threads: 1,
-            read_timeout: Duration::from_millis(50),
             request_deadline: deadline,
             max_connections: 32,
             ..GateConfig::default()
@@ -956,13 +956,13 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
     drop(handle);
 }
 
-/// The ISSUE-level alias contract over a real socket: `/v1/*` and
+/// The alias contract over a real socket: `/v1/*` and
 /// `/v1/tenants/default/*` must serve **byte-identical** bodies from one
-/// live service in **both** server modes (reactor and thread-per-conn) —
-/// including refusals — and tenant-scoped telemetry posted over the wire
-/// calibrates an isolated shard that legacy routes never see.
+/// live service — including refusals — and tenant-scoped telemetry posted
+/// over the wire calibrates an isolated shard that legacy routes never
+/// see.
 #[test]
-fn tenant_routes_alias_legacy_byte_identically_in_both_server_modes() {
+fn tenant_routes_alias_legacy_byte_identically() {
     // A deterministic stream; `slow_mod` skews the completion mix so two
     // tenants get visibly different fits.
     let stream = |t0: f64, t1: f64, slow_mod: u64| {
@@ -1033,54 +1033,40 @@ fn tenant_routes_alias_legacy_byte_identically_in_both_server_modes() {
         ),
     ];
 
-    for mode in [ServerMode::Reactor, ServerMode::ThreadPerConn] {
-        let gate = Gate::bind(
-            "127.0.0.1:0",
-            handle.client(),
-            GateConfig {
-                server_mode: mode,
-                ..GateConfig::default()
-            },
-        )
-        .expect("bind");
-        let mut client = Client::connect(gate.local_addr());
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut client = Client::connect(gate.local_addr());
 
-        for (legacy, tenant) in pairs {
-            let (ls, lb) = client.get(legacy);
-            let (ts, tb) = client.get(tenant);
-            assert_eq!(ls, ts, "{mode:?}: status differs for {legacy}");
-            assert_eq!(lb, tb, "{mode:?}: body differs for {legacy}");
-        }
-        // Status pair back-to-back (no reads between): byte-identical.
-        let (ls, lb) = client.get("/v1/status");
-        let (ts, tb) = client.get("/v1/tenants/default/status");
-        assert_eq!((ls, ts), (200, 200));
-        assert_eq!(lb, tb, "{mode:?}: status body differs");
-
-        // Telemetry write path aliases as well (same acceptance count).
-        let batch = stream(0.0, 0.1, 3);
-        let (ls, lb) = client.post("/v1/telemetry", &encode_events(&batch));
-        let (ts, tb) = client.post("/v1/tenants/default/telemetry", &encode_events(&batch));
-        assert_eq!((ls, ts), (200, 200), "{lb} / {tb}");
-        assert_eq!(lb, tb, "{mode:?}: telemetry ack differs");
-
-        // Tenant refusal discipline over the wire: unknown → 404,
-        // malformed id → 422, and neither kills the connection.
-        let (status, body) = client.get("/v1/tenants/ghost/status");
-        assert_eq!(status, 404, "{body}");
-        let (status, body) = client.get("/v1/tenants/NOPE/status");
-        assert_eq!(status, 422, "{body}");
-        let (status, _) = client.get("/v1/status");
-        assert_eq!(status, 200);
-
-        gate.shutdown();
+    for (legacy, tenant) in pairs {
+        let (ls, lb) = client.get(legacy);
+        let (ts, tb) = client.get(tenant);
+        assert_eq!(ls, ts, "status differs for {legacy}");
+        assert_eq!(lb, tb, "body differs for {legacy}");
     }
+    // Status pair back-to-back (no reads between): byte-identical.
+    let (ls, lb) = client.get("/v1/status");
+    let (ts, tb) = client.get("/v1/tenants/default/status");
+    assert_eq!((ls, ts), (200, 200));
+    assert_eq!(lb, tb, "status body differs");
+
+    // Telemetry write path aliases as well (same acceptance count).
+    let batch = stream(0.0, 0.1, 3);
+    let (ls, lb) = client.post("/v1/telemetry", &encode_events(&batch));
+    let (ts, tb) = client.post("/v1/tenants/default/telemetry", &encode_events(&batch));
+    assert_eq!((ls, ts), (200, 200), "{lb} / {tb}");
+    assert_eq!(lb, tb, "telemetry ack differs");
+
+    // Tenant refusal discipline over the wire: unknown → 404,
+    // malformed id → 422, and neither kills the connection.
+    let (status, body) = client.get("/v1/tenants/ghost/status");
+    assert_eq!(status, 404, "{body}");
+    let (status, body) = client.get("/v1/tenants/NOPE/status");
+    assert_eq!(status, 422, "{body}");
+    let (status, _) = client.get("/v1/status");
+    assert_eq!(status, 200);
 
     // Tenant-scoped ingestion over the wire: a `blue` shard calibrated
     // through POST /v1/tenants/blue/telemetry alone, isolated from the
     // default tenant the legacy routes serve.
-    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
-    let mut client = Client::connect(gate.local_addr());
     // Event times continue past the default tenant's (last refit at 20 s),
     // so the service's own cadence triggers the fleet refit.
     let blue_events = stream(21.0, 46.0, 7);
