@@ -1,5 +1,5 @@
-//! Machine-readable perf baseline for the inversion, sweep, gate
-//! read-path, admission-controller, coded-read, and fleet-refit hot paths.
+//! Machine-readable perf baseline for the inversion, sweep, gate,
+//! admission-controller, coded-read, and fleet-refit hot paths.
 //!
 //! Measures the composite-model CDF, quantile, sweep-grid, multi-client
 //! gate throughput, per-request admission cost, and coded-read prediction
@@ -8,10 +8,10 @@
 //! the frozen pre-optimization numbers (`baseline`) so the speedup is
 //! auditable from the committed files. For the gate file both sections are
 //! measured on the *same run* of the event-driven reactor: `baseline` is
-//! the worker-channel read path paired with the lock-free snapshot path
-//! it is measured against (best-of-three at 4 clients), `current` the
-//! snapshot-path throughput ladder plus the reactor's syscall, allocation,
-//! trigger-mode and accept-mode cells. For the ctrl file: `baseline` is
+//! the reference side of each same-run pair (level-triggered serial RPC,
+//! shared-listener accept churn), `current` the throughput ladder plus the
+//! reactor's syscall and allocation cells and the default side of each
+//! pair (edge-triggered, sharded accept). For the ctrl file: `baseline` is
 //! the snapshot gate with no controller, `current` the same gate with
 //! admission control deciding every request. For the coded file:
 //! `baseline` is the plain replica model predicting coded quantiles as if
@@ -28,9 +28,8 @@
 //!       re-measures and exits nonzero if any metric regressed more than
 //!       2x against the committed `current` section (both the named file
 //!       and BENCH_coded.json), if the obs hot path or the per-request
-//!       admission decision blows its absolute budget, if the snapshot
-//!       read path fails to beat the worker path at 4 concurrent clients,
-//!       if the edge-triggered reactor is slower than the level-triggered
+//!       admission decision blows its absolute budget, if the
+//!       edge-triggered reactor is slower than the level-triggered
 //!       one (same run, best-of-three), if the reactor's warm window
 //!       blows its syscalls-per-request or
 //!       allocations-per-request budget, if any coded-read cell breaks
@@ -49,9 +48,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use cos_bench::json::{self, Value};
 use cos_distr::{Degenerate, Gamma};
-use cos_gate::{AcceptMode, Gate, GateConfig, ReadPath};
+use cos_gate::json::{self, Value};
+use cos_gate::{AcceptMode, Gate, GateConfig};
 use cos_model::{
     model_at_rate, CodedReadModel, CodingSpec, DeviceParams, FrontendParams, ModelVariant,
     SystemModel, SystemParams,
@@ -219,12 +218,6 @@ fn measure_obs(quick: bool) -> Vec<(&'static str, f64)> {
 /// The absolute obs-overhead budget enforced in `--check` mode.
 const OBS_RECORD_BUDGET_NS: f64 = 100.0;
 
-/// Minimum same-run warm-cache throughput ratio (snapshot / worker at 4
-/// concurrent clients) enforced in `--check` mode. The committed
-/// `BENCH_gate.json` shows the full-run ratio; the check band is looser to
-/// tolerate CI noise.
-const GATE_WARM_4C_MIN_RATIO: f64 = 1.5;
-
 /// Minimum same-run 16-client serial-RPC throughput ratio
 /// (edge-triggered / level-triggered reactor, both best-of-three)
 /// enforced in `--check` mode. Serial round trips make per-request
@@ -381,7 +374,6 @@ fn bench_gate(handle: &ServiceHandle, quick: bool, include_256c: bool) -> Vec<(&
     let warm_n = if quick { 200 } else { 1500 };
     let cold_n = if quick { 60 } else { 300 };
     let config = GateConfig::builder()
-        .read_path(ReadPath::Snapshot)
         .max_connections(512)
         .build()
         .expect("gate config");
@@ -554,7 +546,6 @@ fn gate_trigger_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
     let warm_n = if quick { 400 } else { 1500 };
     let spawn = |mode: TriggerMode| {
         let config = GateConfig::builder()
-            .read_path(ReadPath::Snapshot)
             .trigger_mode(mode)
             .max_connections(512)
             .build()
@@ -606,7 +597,6 @@ fn gate_accept_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
     let threads = cos_par::default_workers().max(2);
     let spawn = |mode: AcceptMode| {
         let config = GateConfig::builder()
-            .read_path(ReadPath::Snapshot)
             .accept_mode(mode)
             .reactor_threads(threads)
             .max_connections(512)
@@ -640,34 +630,6 @@ fn gate_accept_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
     sharded_gate.shutdown();
     shared_gate.shutdown();
     (sharded, shared)
-}
-
-/// Same-run snapshot-vs-worker warm 4-client comparison, both read paths
-/// served by the reactor. Each side is best-of-three: scheduler noise on
-/// a loaded CI box only ever subtracts throughput, so the max of repeated
-/// short windows is the least-biased estimate. Returns
-/// `(snapshot_rps, worker_rps)`.
-fn gate_read_path_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
-    let warm_n = if quick { 800 } else { 1500 };
-    let bench = |path: ReadPath| {
-        let config = GateConfig::builder()
-            .read_path(path)
-            .max_connections(512)
-            .build()
-            .expect("gate config");
-        let gate = Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind gate");
-        let addr = gate.local_addr();
-        let target = "/v1/attainment?sla=0.05".to_string();
-        throughput(addr, vec![vec![target.clone()]]);
-        let best = (0..3)
-            .map(|_| throughput(addr, (0..4).map(|_| vec![target.clone(); warm_n]).collect()))
-            .fold(f64::MIN, f64::max);
-        gate.shutdown();
-        best
-    };
-    let worker = bench(ReadPath::Worker);
-    let snapshot = bench(ReadPath::Snapshot);
-    (snapshot, worker)
 }
 
 /// Hard ceiling on the per-request admission decision enforced in
@@ -713,7 +675,7 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
 
     let warm_n = if quick { 200 } else { 1500 };
     let bench = |controller: Option<Arc<cos_ctrl::Controller>>| {
-        let mut builder = GateConfig::builder().read_path(ReadPath::Snapshot);
+        let mut builder = GateConfig::builder();
         if let Some(c) = controller {
             builder = builder.controller(c);
         }
@@ -746,10 +708,10 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
 
 /// Multi-client loopback throughput of the reactor gate against one
 /// calibrated service, same process, same run, same cache: `baseline` =
-/// the paired best-of-three snapshot-vs-worker read paths at 4 clients
-/// (so the read-path speedup stays auditable), `current` = the snapshot
-/// path's throughput ladder, per-request costs, the trigger-mode and
-/// accept-mode pairs, and the reactor thread count.
+/// the reference side of each same-run pair (level-triggered serial RPC,
+/// shared-listener accept churn), `current` = the throughput ladder,
+/// per-request costs, the default side of each pair (edge-triggered,
+/// sharded accept), and the reactor thread count.
 #[allow(clippy::type_complexity)]
 fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>) {
     let mut service = SlaService::new(gate_base(), ServeConfig::default());
@@ -758,20 +720,17 @@ fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     }
     service.refit_now();
     let handle = service.spawn();
-    let (snap_best, worker_best) = gate_read_path_pair(&handle, quick);
-    let read_paths = vec![
-        ("snapshot_warm_4c_best_rps", snap_best),
-        ("worker_warm_4c_best_rps", worker_best),
-    ];
     let mut reactor = bench_gate(&handle, quick, !quick);
     let (et_best, lt_best) = gate_trigger_pair(&handle, quick);
     reactor.push(("et_rpc_16c_best_rps", et_best));
-    reactor.push(("lt_rpc_16c_best_rps", lt_best));
     let (sharded_best, shared_best) = gate_accept_pair(&handle, quick);
     reactor.push(("sharded_accept_churn_16c_rps", sharded_best));
-    reactor.push(("shared_accept_churn_16c_rps", shared_best));
     reactor.push(("reactor_workers", cos_par::default_workers() as f64));
-    (read_paths, reactor)
+    let reference = vec![
+        ("lt_rpc_16c_best_rps", lt_best),
+        ("shared_accept_churn_16c_rps", shared_best),
+    ];
+    (reference, reactor)
 }
 
 // --- coded-read accuracy ---------------------------------------------------
@@ -1139,14 +1098,14 @@ fn main() {
     let inv = measure_inversion(quick);
     let sweep = measure_sweep(quick);
     let obs = measure_obs(quick);
-    let (gate_read_paths, gate_reactor) = measure_gate(quick);
+    let (gate_reference, gate_reactor) = measure_gate(quick);
     let (ctrl_off, ctrl_on) = measure_ctrl(quick);
     let (coded_base, coded_cur) = measure_coded(quick);
     let (fleet_base_rows, fleet_cur) = measure_fleet(quick);
     print_metrics("inversion", &inv);
     print_metrics("sweep", &sweep);
     print_metrics("obs", &obs);
-    print_metrics("gate.read_path", &gate_read_paths);
+    print_metrics("gate.reference", &gate_reference);
     print_metrics("gate.reactor", &gate_reactor);
     print_metrics("ctrl.off", &ctrl_off);
     print_metrics("ctrl.on", &ctrl_on);
@@ -1154,32 +1113,16 @@ fn main() {
     print_metrics("coded.forkjoin", &as_refs(&coded_cur));
     print_metrics("fleet.sequential", &as_refs(&fleet_base_rows));
     print_metrics("fleet.batched", &as_refs(&fleet_cur));
-    let warm_4c_ratio = metric(&gate_read_paths, "snapshot_warm_4c_best_rps")
-        / metric(&gate_read_paths, "worker_warm_4c_best_rps");
-    println!("gate.warm_4c_ratio (snapshot/worker): {warm_4c_ratio:.2}x");
-    let et_ratio =
-        metric(&gate_reactor, "et_rpc_16c_best_rps") / metric(&gate_reactor, "lt_rpc_16c_best_rps");
+    let et_ratio = metric(&gate_reactor, "et_rpc_16c_best_rps")
+        / metric(&gate_reference, "lt_rpc_16c_best_rps");
     println!("gate.rpc_16c_ratio (edge/level trigger): {et_ratio:.2}x");
     let shard_ratio = metric(&gate_reactor, "sharded_accept_churn_16c_rps")
-        / metric(&gate_reactor, "shared_accept_churn_16c_rps");
+        / metric(&gate_reference, "shared_accept_churn_16c_rps");
     println!("gate.churn_16c_ratio (sharded/shared accept): {shard_ratio:.2}x");
     let ctrl_tax = metric(&ctrl_on, "warm_4c_rps") / metric(&ctrl_off, "warm_4c_rps");
     println!("ctrl.warm_4c_ratio (controller on/off): {ctrl_tax:.2}x");
 
     if let Some(file) = check_file {
-        // Same-run relative check: the snapshot path must beat the worker
-        // path at 4 concurrent clients on this very machine, this very run.
-        if warm_4c_ratio < GATE_WARM_4C_MIN_RATIO {
-            eprintln!(
-                "check: FAILED: snapshot warm_4c_rps only {warm_4c_ratio:.2}x the worker path \
-                 (need >= {GATE_WARM_4C_MIN_RATIO}x)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check: snapshot read path {warm_4c_ratio:.2}x worker at 4 clients \
-             (>= {GATE_WARM_4C_MIN_RATIO}x)"
-        );
         // Same-run trigger-mode check: edge-triggered registration (the
         // default) must never serve slower than level-triggered.
         if et_ratio < GATE_ET_MIN_RATIO {
@@ -1326,7 +1269,7 @@ fn main() {
         .expect("write BENCH_sweep.json");
         std::fs::write(
             "BENCH_gate.json",
-            to_json(&gate_read_paths, &gate_reactor).to_string_pretty(),
+            to_json(&gate_reference, &gate_reactor).to_string_pretty(),
         )
         .expect("write BENCH_gate.json");
         std::fs::write(

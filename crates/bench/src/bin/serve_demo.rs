@@ -133,6 +133,7 @@ fn main() {
     // snapshot the online predictions for that window's rate step.
     let sender = handle.telemetry_sender();
     let boundary_handle = handle.clone();
+    let boundary_reader = handle.reader();
     let boundary_windows = windows.clone();
     let boundary_slas = slas.clone();
     let mut online: Vec<Vec<Option<f64>>> = Vec::new();
@@ -148,8 +149,8 @@ fn main() {
             let row: Vec<Option<f64>> = boundary_slas
                 .iter()
                 .map(|&sla| {
-                    boundary_handle
-                        .attainment(Query::new().sla(sla))
+                    boundary_reader
+                        .attainment(&Query::new().sla(sla))
                         .ok()
                         .map(|p| p.value)
                 })
@@ -263,15 +264,18 @@ fn main() {
     );
 
     // Memoization under a polling dashboard: repeat the same question mix.
+    // The re-fit first also brings the published drift verdicts up to the
+    // final event time.
     let _ = handle.refit_now();
-    let status_before = handle.status().expect("service alive");
+    let reader = handle.reader();
+    let status_before = reader.status().expect("service alive");
     for _ in 0..25 {
         for &sla in &slas {
-            let _ = handle.attainment(Query::new().sla(sla));
+            let _ = reader.attainment(&Query::new().sla(sla));
         }
-        let _ = handle.latency_percentile(Query::new().p(0.95));
+        let _ = reader.latency_percentile(&Query::new().p(0.95));
     }
-    let status = handle.status().expect("service alive");
+    let status = reader.status().expect("service alive");
     let hits = status.engine.cache.hits - status_before.engine.cache.hits;
     let total = hits + (status.engine.cache.misses - status_before.engine.cache.misses);
     println!(
@@ -289,7 +293,7 @@ fn main() {
             .fold(f64::NAN, f64::max);
         println!("# what-if sweep (50 ms SLA): stable ≥90% up to ~{knee:.0} req/s");
     }
-    if let Ok(head) = handle.admissible_rate(Query::new().sla(0.050).target(0.90).upper(2000.0)) {
+    if let Ok(head) = reader.admissible_rate(&Query::new().sla(0.050).target(0.90).upper(2000.0)) {
         println!(
             "# overload headroom (90% under 50 ms): {:.1} req/s",
             head.value

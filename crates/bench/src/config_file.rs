@@ -6,10 +6,9 @@
 //! service times and (near-)constant parse times — which covers every
 //! operational use of the model.
 
+use cos_gate::json::{self, Value};
 use cos_model::{DeviceParams, FrontendParams, SystemParams};
 use cos_queueing::from_distribution;
-
-use crate::json::{self, Value};
 
 /// A Gamma law as `{shape, rate}` (the paper's parameterization; mean is
 /// `shape/rate` seconds).

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod config_file;
-pub mod json;
 pub mod report;
 pub mod scenario;
 pub mod summary;

@@ -16,6 +16,7 @@
 //! 4. emit `(rate, observed, predictions…)` rows — the series plotted in
 //!    Fig. 6/7 and summarized in Tables I/II.
 
+use cos_gate::json::{self, Value};
 use cos_model::{
     fit_disk_law, miss_ratio_by_threshold, DeviceParams, FrontendParams, ModelVariant, SystemModel,
     SystemParams, LATENCY_THRESHOLD,
@@ -26,8 +27,6 @@ use cos_storesim::{
     benchmark_disk, benchmark_parse, ClusterConfig, DiskOpKind, Metrics, MetricsConfig,
 };
 use cos_workload::{Catalog, CatalogConfig, PhaseConfig, PhaseSchedule, TraceStream};
-
-use crate::json::{self, Value};
 
 /// A named experiment scenario.
 #[derive(Debug, Clone)]

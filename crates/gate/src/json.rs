@@ -1,8 +1,10 @@
 //! Minimal JSON for the gate's query surface (std-only, like everything
 //! else here — the offline build environment forbids serde).
 //!
-//! A [`Value`] tree, a depth-limited recursive-descent parser, and a
-//! compact writer. Numbers are `f64` and are written with Rust's shortest
+//! A [`Value`] tree, a depth-limited recursive-descent parser, a compact
+//! writer (the wire format) and a pretty printer (the experiment harness's
+//! files); both writers share one number and one string encoder. Numbers
+//! are `f64` and are written with Rust's shortest
 //! round-trip `Display`, so **any finite `f64` survives encode → decode
 //! bit-identically** (the property tests assert this); non-finite floats
 //! have no JSON spelling and serialize as `null`.
@@ -89,11 +91,29 @@ impl Value {
     /// Serializes compactly (no whitespace).
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Pretty-prints with two-space indentation (the serde_json style):
+    /// one member per line, `": "` after keys, empty containers as `[]` /
+    /// `{}`.
+    pub fn to_string_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// Writes the value; `depth` is the current nesting level when
+    /// pretty-printing and `None` for the compact form.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let newline = |out: &mut String, d: usize| {
+            out.push('\n');
+            for _ in 0..d {
+                out.push_str("  ");
+            }
+        };
+        let inner = depth.map(|d| d + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -105,7 +125,13 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    if let Some(d) = inner {
+                        newline(out, d);
+                    }
+                    item.write(out, inner);
+                }
+                if let (Some(d), false) = (depth, items.is_empty()) {
+                    newline(out, d);
                 }
                 out.push(']');
             }
@@ -115,14 +141,33 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
+                    if let Some(d) = inner {
+                        newline(out, d);
+                    }
                     write_json_string(out, k);
                     out.push(':');
-                    v.write(out);
+                    if depth.is_some() {
+                        out.push(' ');
+                    }
+                    v.write(out, inner);
+                }
+                if let (Some(d), false) = (depth, pairs.is_empty()) {
+                    newline(out, d);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Builds an object value from `(key, value)` pairs.
+pub fn object(pairs: Vec<(&str, Value)>) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A number, or `null` for `None`.
+pub fn opt_number(v: Option<f64>) -> Value {
+    v.map(Value::Number).unwrap_or(Value::Null)
 }
 
 /// Writes `n` as a JSON number: Rust's shortest round-trip `Display` for
@@ -480,6 +525,42 @@ mod tests {
         assert!(v.f64_field("missing").unwrap_err().contains("missing"));
         assert!(v.usize_field("n").is_err());
         assert!(v.f64_field("s").is_err());
+    }
+
+    #[test]
+    fn pretty_and_compact_forms_round_trip() {
+        let doc = object(vec![
+            ("name", Value::String("S1".into())),
+            (
+                "slas",
+                Value::Array(vec![Value::Number(0.01), Value::Number(0.1)]),
+            ),
+            (
+                "nested",
+                object(vec![("a", Value::Bool(true)), ("b", Value::Null)]),
+            ),
+            ("empty", Value::Array(vec![])),
+            ("count", Value::Number(42.0)),
+        ]);
+        let pretty = doc.to_string_pretty();
+        assert_eq!(
+            pretty,
+            "{\n  \"name\": \"S1\",\n  \"slas\": [\n    0.01,\n    0.1\n  ],\n  \
+             \"nested\": {\n    \"a\": true,\n    \"b\": null\n  },\n  \"empty\": [],\n  \
+             \"count\": 42\n}"
+        );
+        for text in [pretty, doc.encode()] {
+            assert_eq!(parse(&text).unwrap(), doc);
+        }
+    }
+
+    #[test]
+    fn control_characters_are_escaped() {
+        let v = Value::String("tab\there \u{1}".into());
+        let text = v.encode();
+        assert_eq!(text, "\"tab\\there \\u0001\"");
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(v.to_string_pretty(), text);
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub use json::Value;
 pub use metrics::{render_ctrl_metrics, render_metrics};
 pub use obs::{GateObs, TRACKED_ROUTES};
 pub use routes::{
-    classify, decode_events, encode_events, handle, handle_ctrl, handle_full, handle_with_obs,
-    status_body, ReadPath,
+    classify, decode_events, encode_events, handle, handle_ctrl, handle_full, status_body, ReadPath,
 };
 pub use server::{AcceptMode, Gate, GateConfig, GateConfigBuilder, InvalidConfig};

@@ -721,7 +721,6 @@ impl Reactor {
                     let response = routes::handle_ctrl(
                         &self.client,
                         Some(&self.obs),
-                        self.config.read_path,
                         self.config.controller.as_deref(),
                         &request,
                     );

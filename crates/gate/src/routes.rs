@@ -38,11 +38,10 @@
 //! never shed: starving the feedback loop that decides when to re-admit
 //! would wedge the controller in the shed state.
 //!
-//! Every GET route answers through a [`ReadPath`]: by default the
-//! lock-free snapshot path (evaluated on the connection thread, see
-//! [`cos_serve::SnapshotReader`]), or the worker's command channel when
-//! configured — the answers are bit-identical either way. The telemetry
-//! POST always goes through the channel: it is a write.
+//! Every GET route answers through the lock-free snapshot read path,
+//! evaluated on the calling thread (see [`cos_serve::SnapshotReader`]).
+//! The telemetry POST goes through the service worker's command channel:
+//! it is a write.
 
 use cos_ctrl::{Controller, SlaClass};
 use cos_serve::{
@@ -58,27 +57,23 @@ use crate::query;
 /// Default `upper` bound (req/s) of the headroom search.
 pub const DEFAULT_HEADROOM_UPPER: f64 = cos_serve::DEFAULT_HEADROOM_UPPER;
 
-/// Which evaluation path the GET routes use.
+/// The argument [`handle_full`] takes for the read path. It selects
+/// nothing: every GET route answers through the lock-free snapshot path,
+/// and `Snapshot` is the only variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
-    /// Evaluate on the calling (connection) thread against the worker's
-    /// published snapshot — lock-free, no channel round-trip, bit-identical
-    /// answers. The default.
+    /// Evaluate on the calling thread against the worker's published
+    /// snapshot — lock-free, no channel round-trip.
     #[default]
     Snapshot,
-    /// Round-trip every query through the service worker's command
-    /// channel. Kept for comparison benchmarks and as a behavioral
-    /// reference; writes (`POST /v1/telemetry`) always use the channel.
-    Worker,
 }
 
-/// The GET routes' view of the service: one [`ServiceClient`] dispatched
-/// through the configured [`ReadPath`], scoped to one tenant's estimator
-/// shard. Legacy `/v1/*` routes run through the same struct with the
-/// reserved `default` tenant, which is what makes the alias byte-exact.
+/// The GET routes' view of the service: one [`ServiceClient`]'s snapshot
+/// reads, scoped to one tenant's estimator shard. Legacy `/v1/*` routes
+/// run through the same struct with the reserved `default` tenant, which
+/// is what makes the alias byte-exact.
 struct Reader<'a> {
     client: &'a ServiceClient,
-    path: ReadPath,
     tenant: TenantId,
 }
 
@@ -89,68 +84,45 @@ impl Reader<'_> {
     }
 
     fn attainment(&self, query: Query) -> Result<Prediction, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_attainment(&query),
-            ReadPath::Worker => self.client.attainment(query),
-        }
+        self.client.read_attainment(&query)
     }
 
     fn percentile(&self, query: Query) -> Result<Prediction, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_latency_percentile(&query),
-            ReadPath::Worker => self.client.latency_percentile(query),
-        }
+        self.client.read_latency_percentile(&query)
     }
 
     fn headroom(&self, query: Query) -> Result<Prediction, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_admissible_rate(&query),
-            ReadPath::Worker => self.client.admissible_rate(query),
-        }
+        self.client.read_admissible_rate(&query)
     }
 
     fn bottlenecks(&self, query: Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_device_ranking(&query),
-            ReadPath::Worker => self.client.device_ranking(query),
-        }
+        self.client.read_device_ranking(&query)
     }
 
     fn status(&self) -> Result<ServiceStatus, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_status_for(&self.tenant),
-            ReadPath::Worker => self.client.status_for(&self.tenant),
-        }
+        self.client.read_status_for(&self.tenant)
     }
 }
 
 /// Dispatches one parsed request against the service, without gate
 /// instrumentation: `/v1/selfcheck` reports no observed latencies and
-/// `/metrics` carries only the service summary. The socket server uses
-/// [`handle_full`].
+/// `/metrics` carries only the service summary.
 pub fn handle(client: &ServiceClient, req: &Request) -> Response {
-    handle_with_obs(client, None, req)
+    handle_ctrl(client, None, None, req)
 }
 
-/// Dispatches one parsed request against the service over the default
-/// (snapshot) read path. With `obs`, the self-measuring routes light up:
-/// `/metrics` appends every registered instrument and `/v1/selfcheck`
-/// reports observed request percentiles.
-pub fn handle_with_obs(client: &ServiceClient, obs: Option<&GateObs>, req: &Request) -> Response {
-    handle_full(client, obs, ReadPath::default(), req)
-}
-
-/// Dispatches one parsed request with an explicit [`ReadPath`]: every GET
-/// route answers through `read_path`; `POST /v1/telemetry` always goes
-/// through the worker's command channel (it is a write). Equivalent to
-/// [`handle_ctrl`] with no admission controller.
+/// Dispatches one parsed request with optional gate instrumentation and
+/// no admission controller: [`handle_ctrl`] with `ctrl = None`. With
+/// `obs`, the self-measuring routes light up: `/metrics` appends every
+/// registered instrument and `/v1/selfcheck` reports observed request
+/// percentiles. `_path` selects nothing (see [`ReadPath`]).
 pub fn handle_full(
     client: &ServiceClient,
     obs: Option<&GateObs>,
-    read_path: ReadPath,
+    _path: ReadPath,
     req: &Request,
 ) -> Response {
-    handle_ctrl(client, obs, read_path, None, req)
+    handle_ctrl(client, obs, None, req)
 }
 
 /// Classifies one request for admission: control-plane routes (the
@@ -230,7 +202,6 @@ fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
 pub fn handle_ctrl(
     client: &ServiceClient,
     obs: Option<&GateObs>,
-    read_path: ReadPath,
     ctrl: Option<&Controller>,
     req: &Request,
 ) -> Response {
@@ -249,7 +220,6 @@ pub fn handle_ctrl(
     }
     let reader = Reader {
         client,
-        path: read_path,
         tenant: tenant.clone(),
     };
     let get = |handler: &dyn Fn() -> Response| -> Response {
@@ -562,7 +532,6 @@ fn anomalies(ctrl: &Controller) -> Response {
             ])
         })
         .collect();
-    let opt = |v: Option<f64>| v.map(Value::Number).unwrap_or(Value::Null);
     let body = Value::Object(vec![
         ("anomalies".into(), Value::Array(items)),
         (
@@ -585,9 +554,9 @@ fn anomalies(ctrl: &Controller) -> Response {
                     "generation".into(),
                     Value::Number(stats.last.generation as f64),
                 ),
-                ("attainment".into(), opt(stats.last.attainment)),
-                ("headroom".into(), opt(stats.last.headroom)),
-                ("rate".into(), opt(stats.last.rate)),
+                ("attainment".into(), json::opt_number(stats.last.attainment)),
+                ("headroom".into(), json::opt_number(stats.last.headroom)),
+                ("rate".into(), json::opt_number(stats.last.rate)),
                 ("unstable".into(), Value::Bool(stats.last.unstable)),
                 ("violating".into(), Value::Bool(stats.last.violating)),
             ]),
@@ -653,15 +622,14 @@ fn selfcheck(reader: &Reader<'_>, obs: Option<&GateObs>) -> Response {
 
 /// Renders the full health summary as JSON.
 pub fn status_body(s: &ServiceStatus) -> Value {
-    let opt = |v: Option<f64>| v.map(Value::Number).unwrap_or(Value::Null);
     let drift = s
         .drift
         .iter()
         .map(|d| {
             Value::Object(vec![
                 ("sla".into(), Value::Number(d.sla)),
-                ("observed".into(), opt(d.observed)),
-                ("predicted".into(), opt(d.predicted)),
+                ("observed".into(), json::opt_number(d.observed)),
+                ("predicted".into(), json::opt_number(d.predicted)),
                 ("samples".into(), Value::Number(d.samples as f64)),
                 ("drifted".into(), Value::Bool(d.drifted)),
             ])
@@ -669,8 +637,8 @@ pub fn status_body(s: &ServiceStatus) -> Value {
         .collect();
     Value::Object(vec![
         ("event_time".into(), Value::Number(s.event_time)),
-        ("epoch".into(), opt(s.epoch.map(|e| e as f64))),
-        ("fitted_at".into(), opt(s.fitted_at)),
+        ("epoch".into(), json::opt_number(s.epoch.map(|e| e as f64))),
+        ("fitted_at".into(), json::opt_number(s.fitted_at)),
         ("stale".into(), Value::Bool(s.stale)),
         (
             "last_fit_error".into(),
@@ -698,9 +666,6 @@ pub fn status_body(s: &ServiceStatus) -> Value {
 /// Encodes telemetry events as the `POST /v1/telemetry` wire format (a
 /// JSON array). The inverse of [`decode_events`].
 pub fn encode_events(events: &[TelemetryEvent]) -> String {
-    let obj = |pairs: Vec<(&str, Value)>| {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    };
     let class_name = |c: OpClass| match c {
         OpClass::Index => "index",
         OpClass::Meta => "meta",
@@ -709,12 +674,12 @@ pub fn encode_events(events: &[TelemetryEvent]) -> String {
     let items = events
         .iter()
         .map(|ev| match *ev {
-            TelemetryEvent::Arrival { at, device } => obj(vec![
+            TelemetryEvent::Arrival { at, device } => json::object(vec![
                 ("type", Value::String("arrival".into())),
                 ("at", Value::Number(at)),
                 ("device", Value::Number(device as f64)),
             ]),
-            TelemetryEvent::DataRead { at, device } => obj(vec![
+            TelemetryEvent::DataRead { at, device } => json::object(vec![
                 ("type", Value::String("data_read".into())),
                 ("at", Value::Number(at)),
                 ("device", Value::Number(device as f64)),
@@ -724,7 +689,7 @@ pub fn encode_events(events: &[TelemetryEvent]) -> String {
                 device,
                 class,
                 latency,
-            } => obj(vec![
+            } => json::object(vec![
                 ("type", Value::String("op".into())),
                 ("at", Value::Number(at)),
                 ("device", Value::Number(device as f64)),
@@ -735,7 +700,7 @@ pub fn encode_events(events: &[TelemetryEvent]) -> String {
                 arrival,
                 latency,
                 device,
-            } => obj(vec![
+            } => json::object(vec![
                 ("type", Value::String("completion".into())),
                 ("arrival", Value::Number(arrival)),
                 ("latency", Value::Number(latency)),
@@ -898,7 +863,10 @@ mod tests {
         assert_eq!(resp.status, 200);
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let value = body.f64_field("value").unwrap();
-        let direct = client.attainment(Query::new().sla(0.05)).unwrap().value;
+        let direct = client
+            .read_attainment(&Query::new().sla(0.05))
+            .unwrap()
+            .value;
         assert_eq!(value.to_bits(), direct.to_bits(), "JSON is bit-exact");
     }
 
@@ -949,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn coded_queries_answer_through_both_read_paths() {
+    fn coded_queries_answer_and_echo_the_spec() {
         let handle_ = spawn_service();
         let client = handle_.client();
         for ev in sample_events() {
@@ -971,17 +939,10 @@ mod tests {
         let snapshot_value = body.f64_field("value").unwrap();
         assert!(snapshot_value > 0.0);
         let direct = client
-            .latency_percentile(Query::new().p(0.99).n_k(4, 2))
+            .read_latency_percentile(&Query::new().p(0.99).n_k(4, 2))
             .unwrap()
             .value;
         assert_eq!(snapshot_value.to_bits(), direct.to_bits());
-
-        // The worker channel path answers bit-identically.
-        let request = req("GET /v1/percentile?p=0.99&n=4&k=2 HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_full(&client, None, ReadPath::Worker, &request);
-        assert_eq!(resp.status, 200);
-        let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        assert_eq!(body.f64_field("value").unwrap().to_bits(), direct.to_bits());
 
         // Coded attainment echoes the spec and answers in (0, 1].
         let resp = get(&client, "/v1/attainment?sla=0.05&n=6&k=4");
@@ -1048,9 +1009,10 @@ mod tests {
         let obs = GateObs::register(&registry);
 
         // Warming up, nothing recorded: both sides null, still 200.
-        let resp = handle_with_obs(
+        let resp = handle_ctrl(
             &client,
             Some(&obs),
+            None,
             &req("GET /v1/selfcheck HTTP/1.1\r\nHost: t\r\n\r\n"),
         );
         assert_eq!(resp.status, 200);
@@ -1073,9 +1035,10 @@ mod tests {
         for ns in [200_000u64, 400_000, 800_000] {
             obs.request_hist("/v1/attainment").record_ns(ns);
         }
-        let resp = handle_with_obs(
+        let resp = handle_ctrl(
             &client,
             Some(&obs),
+            None,
             &req("GET /v1/selfcheck HTTP/1.1\r\nHost: t\r\n\r\n"),
         );
         assert_eq!(resp.status, 200);
@@ -1107,9 +1070,10 @@ mod tests {
         let registry = cos_obs::Registry::new();
         let obs = GateObs::register(&registry);
         obs.request_hist("/v1/status").record_ns(50_000);
-        let resp = handle_with_obs(
+        let resp = handle_ctrl(
             &client,
             Some(&obs),
+            None,
             &req("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"),
         );
         assert_eq!(resp.status, 200);
@@ -1161,13 +1125,13 @@ mod tests {
         let ctrl = controller(&client);
         ctrl.force_shed(ctrl.policy().max_shed); // batch + standard shed fully
         let request = req("GET /v1/status HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 200, "control routes are never shed");
         // At max_shed (0.95 < 1) the error-diffusion accumulator admits
         // the very first request; the second crosses a whole unit.
         let request = req("GET /v1/attainment?sla=0.05 HTTP/1.1\r\nHost: t\r\n\r\n");
         let resp = (0..3)
-            .map(|_| handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request))
+            .map(|_| handle_ctrl(&client, None, Some(&ctrl), &request))
             .find(|r| r.status == 429)
             .expect("shedding at max_shed must refuse a standard request");
         assert!(resp
@@ -1180,7 +1144,7 @@ mod tests {
         );
         // Back to zero shed, everything flows again (503: still warming).
         ctrl.force_shed(0.0);
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 503);
     }
 
@@ -1192,7 +1156,7 @@ mod tests {
         assert_eq!(get(&client, "/v1/anomalies").status, 404);
         let ctrl = controller(&client);
         let request = req("GET /v1/anomalies HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 200);
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(
@@ -1204,7 +1168,7 @@ mod tests {
         assert!(body.field("last_tick").unwrap().field("violating").is_ok());
         // Wrong method: 405 with Allow.
         let request = req("POST /v1/anomalies HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 405);
     }
 
@@ -1220,23 +1184,11 @@ mod tests {
         // crossing happens on request two).
         for _ in 0..2 {
             let request = req("GET /v1/headroom HTTP/1.1\r\nHost: t\r\nx-sla-class: batch\r\n\r\n");
-            handle_ctrl(
-                &client,
-                Some(&obs),
-                ReadPath::default(),
-                Some(&ctrl),
-                &request,
-            );
+            handle_ctrl(&client, Some(&obs), Some(&ctrl), &request);
         }
         assert_eq!(obs.sheds_total.get(), 1);
         let request = req("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_ctrl(
-            &client,
-            Some(&obs),
-            ReadPath::default(),
-            Some(&ctrl),
-            &request,
-        );
+        let resp = handle_ctrl(&client, Some(&obs), Some(&ctrl), &request);
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("cos_ctrl_shed_fraction 0.5"), "{text}");
@@ -1260,8 +1212,8 @@ mod tests {
         }
         client.flush().unwrap();
         client.refit_now().unwrap();
-        client.attainment(Query::new().sla(0.05)).unwrap();
-        client.attainment(Query::new().sla(0.05)).unwrap();
+        client.read_attainment(&Query::new().sla(0.05)).unwrap();
+        client.read_attainment(&Query::new().sla(0.05)).unwrap();
         let resp = get(&client, "/v1/status");
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert!(body.f64_field("epoch").unwrap() >= 1.0);

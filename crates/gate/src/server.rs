@@ -6,7 +6,7 @@
 //! connections (see [`crate::reactor`] and DESIGN §12). Connection
 //! capacity is bounded by memory, not threads, and GET routes dispatch
 //! inline on the reactor thread through the lock-free snapshot path
-//! ([`ReadPath::Snapshot`]).
+//! ([`cos_serve::SnapshotReader`]).
 //!
 //! Policies: excess accepts beyond [`GateConfig::max_connections`] are
 //! answered `503` and closed, a per-request deadline runs from the first
@@ -35,7 +35,6 @@ use cos_serve::ServiceClient;
 use crate::http::{ParserLimits, Response};
 use crate::obs::GateObs;
 use crate::reactor;
-use crate::routes::ReadPath;
 
 /// How accepted connections are distributed across reactor threads.
 ///
@@ -75,9 +74,6 @@ pub struct GateConfig {
     /// [`cos_serve::ServeConfig::obs`] to get gate and service metrics in
     /// a single `GET /metrics` document.
     pub obs: Registry,
-    /// Which evaluation path GET routes use: the lock-free snapshot path
-    /// (default) or the worker's command channel.
-    pub read_path: ReadPath,
     /// Admission controller consulted before routing every request
     /// (`None`, the default, admits everything — behavior is byte-identical
     /// to a gate built before admission control existed). Share the same
@@ -104,7 +100,6 @@ impl Default for GateConfig {
             request_deadline: Duration::from_secs(10),
             limits: ParserLimits::default(),
             obs: Registry::new(),
-            read_path: ReadPath::default(),
             controller: None,
             reactor_threads: 0,
             trigger_mode: TriggerMode::Edge,
@@ -178,12 +173,6 @@ impl GateConfigBuilder {
     /// Instrument registry the gate records into.
     pub fn obs(mut self, registry: Registry) -> Self {
         self.config.obs = registry;
-        self
-    }
-
-    /// Which evaluation path GET routes use (snapshot by default).
-    pub fn read_path(mut self, path: ReadPath) -> Self {
-        self.config.read_path = path;
         self
     }
 

@@ -503,4 +503,86 @@ mod tests {
         assert_eq!(*cell.get(), (500, 500));
         assert_eq!(cell.generation(), 500);
     }
+
+    #[test]
+    fn arc_cell_oversubscribed_readers_and_writer_all_make_progress() {
+        // `take` spins with `yield_now` while another thread has the
+        // pointer checked out, so a reader preempted mid-`get` stalls every
+        // other reader and the writer until it runs again. With 16x more
+        // threads than CPUs that happens constantly; progress and the
+        // worst single `get` must still stay bounded.
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+
+        const WRITE_FOR: Duration = Duration::from_secs(1);
+        const QUOTA: u64 = 2_000;
+        const DEADLINE: Duration = Duration::from_secs(60);
+        const GET_CEILING: Duration = Duration::from_secs(2);
+
+        let readers = 16 * default_workers();
+        let cell = Arc::new(ArcCell::new(Arc::new((0u64, 0u64))));
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Instant::now();
+        let writer = {
+            let (cell, stop) = (Arc::clone(&cell), Arc::clone(&stop));
+            thread::spawn(move || {
+                let mut sets = 0u64;
+                while start.elapsed() < WRITE_FOR {
+                    sets += 1;
+                    cell.set(Arc::new((sets, sets)));
+                }
+                stop.store(true, Ordering::Release);
+                (sets, start.elapsed())
+            })
+        };
+        // Each reader runs while the writer does, and at least its quota.
+        let handles: Vec<_> = (0..readers)
+            .map(|_| {
+                let (cell, stop) = (Arc::clone(&cell), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let (mut gets, mut last_gen, mut last_value) = (0u64, 0u64, 0u64);
+                    let mut worst = Duration::ZERO;
+                    while gets < QUOTA || !stop.load(Ordering::Acquire) {
+                        let generation = cell.generation();
+                        let begin = Instant::now();
+                        let snap = cell.get();
+                        worst = worst.max(begin.elapsed());
+                        assert_eq!(snap.0, snap.1, "torn value");
+                        assert!(generation >= last_gen, "generation went backwards");
+                        // Value `n` is published before generation `n`, so
+                        // a reader that saw generation `n` sees value >= n.
+                        assert!(snap.0 >= generation, "value older than its generation");
+                        assert!(snap.0 >= last_value, "value went backwards");
+                        (last_gen, last_value) = (generation, snap.0);
+                        gets += 1;
+                    }
+                    worst
+                })
+            })
+            .collect();
+        while !(writer.is_finished() && handles.iter().all(|h| h.is_finished())) {
+            assert!(
+                start.elapsed() < DEADLINE,
+                "a thread is still running after {DEADLINE:?}"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+        let (sets, wrote_for) = writer.join().unwrap();
+        let worst = handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .max()
+            .unwrap();
+        let min_sets = wrote_for.as_millis() as u64 / 10;
+        assert!(
+            sets >= min_sets,
+            "writer managed {sets} sets in {wrote_for:?} (need >= {min_sets})"
+        );
+        assert_eq!(*cell.get(), (sets, sets));
+        assert_eq!(cell.generation(), sets);
+        assert!(
+            worst < GET_CEILING,
+            "slowest get took {worst:?} with {readers} readers (ceiling {GET_CEILING:?})"
+        );
+    }
 }

@@ -1,10 +1,10 @@
-//! The sharded concurrent inversion cache shared by the worker-thread
-//! engine and the lock-free snapshot read path.
+//! The sharded concurrent inversion cache shared by the service's engines
+//! and the lock-free snapshot read path.
 //!
-//! One bounded cache implementation serves both paths, which is what makes
+//! One bounded cache implementation serves both, which is what makes
 //! the snapshot path **bit-identical by construction**: every query —
-//! whether it arrives over the service's command channel or is evaluated
-//! in place on a gate connection thread — collapses to the same quantized
+//! whether the in-process service answers it or a reader evaluates it in
+//! place on a gate reactor thread — collapses to the same quantized
 //! [`QueryKey`] and runs the same [`QueryKind`] evaluation code on the
 //! same snapped inputs, so two paths can never disagree on a value's bits.
 //!
@@ -264,8 +264,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The sharded, bounded, single-flight memo of inversion results and built
 /// models. See the module docs for the design; one instance is shared by
-/// the [`PredictionEngine`](crate::PredictionEngine) (worker path) and
-/// every [`SnapshotReader`](crate::SnapshotReader) (lock-free read path).
+/// the service's [`PredictionEngine`](crate::PredictionEngine)s (in-process
+/// queries and re-fit pre-warming) and every
+/// [`SnapshotReader`](crate::SnapshotReader) (lock-free read path).
 pub struct InversionCache {
     shards: Vec<Mutex<ResultShard>>,
     model_shards: Vec<Mutex<ModelShard>>,

@@ -1,8 +1,8 @@
 //! The builder-style query surface.
 //!
 //! Every read endpoint used to grow positional arguments (`sla`, `rate`,
-//! `n`, `k`, `upper`, …) in lock-step across [`ServiceClient`],
-//! [`SnapshotReader`], and [`ServiceHandle`]. A [`Query`] packs all of
+//! `n`, `k`, `upper`, …) in lock-step across [`SlaService`],
+//! [`ServiceClient`], and [`SnapshotReader`]. A [`Query`] packs all of
 //! them — plus the fleet dimension, a [`TenantId`] — into one value:
 //!
 //! ```
@@ -13,14 +13,13 @@
 //! ```
 //!
 //! Resolution to the cache's quantized [`QueryKind`] lives here, in one
-//! place, so the worker path and the lock-free snapshot path cannot drift:
-//! both call the same `*_question` helper and therefore produce the same
-//! [`QueryKey`](crate::QueryKey) bits as the legacy positional methods
-//! they replace.
+//! place, so the in-process service and the lock-free snapshot path cannot
+//! drift: both call the same `*_question` helper and therefore produce the
+//! same [`QueryKey`](crate::QueryKey) bits.
 //!
+//! [`SlaService`]: crate::SlaService
 //! [`ServiceClient`]: crate::ServiceClient
 //! [`SnapshotReader`]: crate::SnapshotReader
-//! [`ServiceHandle`]: crate::ServiceHandle
 
 use cos_model::SlaGoal;
 

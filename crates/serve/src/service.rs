@@ -13,14 +13,18 @@
 //! [`snapshot`](crate::snapshot) module docs for the protocol).
 //!
 //! [`SlaService::spawn`] wraps the service in a dedicated thread behind a
-//! single command channel (`std::sync::mpsc` has no `select`, so every
-//! interaction — telemetry, queries, control — is one `enum` message; FIFO
-//! ordering doubles as the flush barrier). The returned [`ServiceHandle`]
-//! is the client side; [`TelemetrySender`] is a cheap cloneable
-//! tenant-scoped ingest-only endpoint to hand to a telemetry source.
+//! single command channel that carries writes and control only —
+//! telemetry, re-fit, flush, sweep, shutdown (`std::sync::mpsc` has no
+//! `select`, so each is one `enum` message; FIFO ordering doubles as the
+//! flush barrier). Reads never cross the channel: they are answered on
+//! the caller's thread by the [`SnapshotReader`] the worker publishes to.
+//! The returned [`ServiceHandle`] is the client side; [`TelemetrySender`]
+//! is a cheap cloneable tenant-scoped ingest-only endpoint to hand to a
+//! telemetry source.
 //!
 //! Queries are [`Query`] values (`service.attainment(&Query::tenant(t)
-//! .sla(0.05))`).
+//! .sla(0.05))` in process, `client.read_attainment(&query)` against a
+//! spawned service).
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -28,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use cos_model::{ModelVariant, SlaGoal, SystemModel, SystemParams};
+use cos_model::{ModelVariant, SystemModel, SystemParams};
 use cos_obs::Registry;
 
 use crate::cache::{InversionCache, QueryKey, QueryKind};
@@ -569,8 +573,7 @@ impl SlaService {
             changes.push((slot, Arc::new(build_state(shard)), shard.events_total));
         }
         // Publish on every attempt — success or failure — so snapshot
-        // readers observe staleness and fit errors as promptly as the
-        // channel path does.
+        // readers observe staleness and fit errors at the attempt itself.
         self.last_publish = self.shared.publish_delta(&changes);
         installed_default
     }
@@ -630,78 +633,6 @@ impl SlaService {
         timed_query(&self.obs, &self.shards[slot as usize].engine, |e| {
             e.bottlenecks(sla)
         })
-    }
-
-    /// Predicted fraction of requests meeting `sla` at the calibrated
-    /// operating point (`default` tenant).
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.fraction_meeting_sla(sla)
-        })
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate
-    /// (`default` tenant).
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.fraction_at_rate(rate, sla)
-        })
-    }
-
-    /// Predicted response-latency percentile (e.g. `p = 0.95`), `default`
-    /// tenant.
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.latency_percentile(p)
-        })
-    }
-
-    /// Overload-control headroom up to `upper` req/s (`default` tenant).
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.headroom(goal, upper)
-        })
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`
-    /// (`default` tenant).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= needed <= launched` — network callers are
-    /// validated at the gate.
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.coded_fraction(launched, needed, sla)
-        })
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads
-    /// (`default` tenant).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= needed <= launched` — network callers are
-    /// validated at the gate.
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.coded_percentile(launched, needed, p)
-        })
-    }
-
-    /// Bottleneck ranking, worst device first (`default` tenant).
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| e.bottlenecks(sla))
     }
 
     /// Submits a batch what-if sweep of the `default` tenant to the worker
@@ -791,16 +722,11 @@ fn timed_query<T>(
 enum Command {
     Ingest(TenantId, TelemetryEvent, Option<Instant>),
     Refit(Sender<bool>),
-    Attainment(Query, Sender<Result<Prediction, ServeError>>),
-    Percentile(Query, Sender<Result<Prediction, ServeError>>),
-    Headroom(Query, Sender<Result<Prediction, ServeError>>),
-    Ranking(Query, Sender<Result<Vec<(usize, f64)>, ServeError>>),
     Sweep {
         rates: Vec<f64>,
         slas: Vec<f64>,
         reply: Sender<Result<Vec<RatePoint>, ServeError>>,
     },
-    Status(TenantId, Sender<Result<ServiceStatus, ServeError>>),
     Flush(Sender<()>),
     Shutdown,
 }
@@ -817,26 +743,11 @@ fn run_service(mut service: SlaService, rx: Receiver<Command>) -> SlaService {
             Command::Refit(reply) => {
                 let _ = reply.send(service.refit_now());
             }
-            Command::Attainment(query, reply) => {
-                let _ = reply.send(service.attainment(&query));
-            }
-            Command::Percentile(query, reply) => {
-                let _ = reply.send(service.latency_percentile(&query));
-            }
-            Command::Headroom(query, reply) => {
-                let _ = reply.send(service.admissible_rate(&query));
-            }
-            Command::Ranking(query, reply) => {
-                let _ = reply.send(service.device_ranking(&query));
-            }
             Command::Sweep { rates, slas, reply } => {
                 // Submit, then collect off-thread work while staying
                 // responsive is not possible without select; the pool does
                 // the evaluation, this thread only blocks on collection.
                 let _ = reply.send(service.sweep(&rates, slas).map(SweepHandle::wait));
-            }
-            Command::Status(tenant, reply) => {
-                let _ = reply.send(service.status_for(&tenant));
             }
             Command::Flush(reply) => {
                 let _ = reply.send(());
@@ -845,7 +756,7 @@ fn run_service(mut service: SlaService, rx: Receiver<Command>) -> SlaService {
         }
     }
     // Snapshot readers outlive the thread; flip them to `Disconnected` so
-    // they agree with the now-dead command channel.
+    // reads fail the same way writes to the dead channel do.
     service.shared.close();
     service
 }
@@ -875,12 +786,19 @@ impl TelemetrySender {
     }
 }
 
-/// Cloneable query endpoint to a spawned [`SlaService`]: everything a
-/// concurrent consumer (e.g. one `cos-gate` connection per thread) needs —
-/// ingest, queries, status — without ownership of the service thread.
-/// Cloning shares the one command channel; the service stays single-
-/// threaded and FIFO-ordered per sender. Once the owning [`ServiceHandle`]
-/// shuts the service down, every call returns
+/// Cloneable endpoint to a spawned [`SlaService`]: everything a
+/// concurrent consumer (e.g. a `cos-gate` reactor) needs — ingest,
+/// queries, status — without ownership of the service thread.
+///
+/// Writes and control (ingest, flush, re-fit, sweep) go over the one
+/// command channel; the service stays single-threaded and FIFO-ordered
+/// per sender. Reads (`read_*`, [`reader`](ServiceClient::reader)) never
+/// touch the channel: they evaluate on the calling thread against the
+/// worker's latest published snapshot. The one thing that means: a status
+/// read carries the drift verdicts as of the last re-fit attempt, not
+/// recomputed at the live event clock between re-fits — the in-process
+/// [`SlaService::status`] still does that. Once the owning
+/// [`ServiceHandle`] shuts the service down, every call returns
 /// [`ServeError::Disconnected`].
 #[derive(Clone)]
 pub struct ServiceClient {
@@ -897,9 +815,9 @@ impl ServiceClient {
         rx.recv().map_err(|_| ServeError::Disconnected)
     }
 
-    /// The lock-free snapshot endpoint: evaluates queries on the calling
-    /// thread against the worker's published fleet, bit-identical to the
-    /// channel methods below. Prefer it for read-heavy consumers.
+    /// The lock-free snapshot endpoint the `read_*` methods answer
+    /// through: evaluates queries on the calling thread against the
+    /// worker's published fleet.
     pub fn reader(&self) -> SnapshotReader {
         self.reader.clone()
     }
@@ -941,74 +859,42 @@ impl ServiceClient {
         self.ask(Command::Refit)
     }
 
-    /// Predicted fraction of requests meeting the query's SLA (plain,
-    /// what-if rate, or erasure-coded), for the query's tenant.
-    pub fn attainment(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.ask(|reply| Command::Attainment(query, reply))?
-    }
-
-    /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.ask(|reply| Command::Percentile(query, reply))?
-    }
-
-    /// Overload-control headroom (largest admissible rate) for the
-    /// query's tenant.
-    pub fn admissible_rate(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.ask(|reply| Command::Headroom(query, reply))?
-    }
-
-    /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.ask(|reply| Command::Ranking(query, reply))?
-    }
-
     /// Batch what-if sweep of the `default` tenant, evaluated on the
     /// worker pool.
     pub fn sweep(&self, rates: Vec<f64>, slas: Vec<f64>) -> Result<Vec<RatePoint>, ServeError> {
         self.ask(|reply| Command::Sweep { rates, slas, reply })?
     }
 
-    /// Health summary of the `default` tenant.
-    pub fn status(&self) -> Result<ServiceStatus, ServeError> {
-        self.ask(|reply| Command::Status(TenantId::default_tenant(), reply))?
-    }
-
-    /// Health summary of an arbitrary tenant.
-    pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
-        self.ask(|reply| Command::Status(tenant.clone(), reply))?
-    }
-
-    /// Snapshot-path [`attainment`](ServiceClient::attainment): evaluated
-    /// on the calling thread, no channel round-trip, bit-identical answer.
+    /// Predicted fraction of requests meeting the query's SLA (plain,
+    /// what-if rate, or erasure-coded), for the query's tenant.
     pub fn read_attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
         self.reader.attainment(query)
     }
 
-    /// Snapshot-path
-    /// [`latency_percentile`](ServiceClient::latency_percentile).
+    /// Predicted response-latency percentile for the query's tenant.
     pub fn read_latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
         self.reader.latency_percentile(query)
     }
 
-    /// Snapshot-path [`admissible_rate`](ServiceClient::admissible_rate).
+    /// Overload-control headroom (largest admissible rate) for the
+    /// query's tenant.
     pub fn read_admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
         self.reader.admissible_rate(query)
     }
 
-    /// Snapshot-path [`device_ranking`](ServiceClient::device_ranking).
+    /// Bottleneck ranking for the query's tenant, worst device first.
     pub fn read_device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
         self.reader.device_ranking(query)
     }
 
-    /// Snapshot-path [`status`](ServiceClient::status): assembled from
-    /// the published state without a service-thread round-trip. Drift
-    /// verdicts are as of the last re-fit attempt.
+    /// Health summary of the `default` tenant, assembled from the
+    /// published state. Drift verdicts are as of the last re-fit attempt.
     pub fn read_status(&self) -> Result<ServiceStatus, ServeError> {
         self.reader.status()
     }
 
-    /// Snapshot-path [`status_for`](ServiceClient::status_for).
+    /// [`read_status`](ServiceClient::read_status) for an arbitrary
+    /// tenant.
     pub fn read_status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
         self.reader.status_for(tenant)
     }
@@ -1022,7 +908,8 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// A cloneable query endpoint sharing this handle's command channel.
+    /// A cloneable endpoint sharing this handle's command channel and
+    /// snapshot reader.
     pub fn client(&self) -> ServiceClient {
         self.client.clone()
     }
@@ -1063,40 +950,9 @@ impl ServiceHandle {
         self.client.refit_now()
     }
 
-    /// Predicted fraction of requests meeting the query's SLA, for the
-    /// query's tenant.
-    pub fn attainment(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.client.attainment(query)
-    }
-
-    /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.client.latency_percentile(query)
-    }
-
-    /// Overload-control headroom for the query's tenant.
-    pub fn admissible_rate(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.client.admissible_rate(query)
-    }
-
-    /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.client.device_ranking(query)
-    }
-
     /// Batch what-if sweep of the `default` tenant.
     pub fn sweep(&self, rates: Vec<f64>, slas: Vec<f64>) -> Result<Vec<RatePoint>, ServeError> {
         self.client.sweep(rates, slas)
-    }
-
-    /// Health summary of the `default` tenant.
-    pub fn status(&self) -> Result<ServiceStatus, ServeError> {
-        self.client.status()
-    }
-
-    /// Health summary of an arbitrary tenant.
-    pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
-        self.client.status_for(tenant)
     }
 
     /// Stops the service and returns its final state. Outstanding
@@ -1180,11 +1036,12 @@ mod tests {
     #[test]
     fn service_calibrates_from_the_stream_and_answers() {
         let mut service = SlaService::new(base(), ServeConfig::default());
-        assert_eq!(service.predict(0.05), Err(ServeError::NotCalibrated));
+        let sla = Query::new().sla(0.05);
+        assert_eq!(service.attainment(&sla), Err(ServeError::NotCalibrated));
         for ev in events(40.0, 20.0, 2) {
             service.ingest(ev);
         }
-        let p = service.predict(0.05).unwrap();
+        let p = service.attainment(&sla).unwrap();
         assert!(p.value > 0.0 && p.value <= 1.0);
         assert!(!p.stale);
         let status = service.status();
@@ -1202,7 +1059,8 @@ mod tests {
         for ev in events(40.0, 20.0, 2) {
             service.ingest(ev);
         }
-        let fresh = service.predict(0.05).unwrap();
+        let sla = Query::new().sla(0.05);
+        let fresh = service.attainment(&sla).unwrap();
         // One lone event far in the future: the windows have emptied, the
         // forced re-fit fails, and the old epoch serves with the flag set.
         service.ingest(TelemetryEvent::Arrival {
@@ -1210,7 +1068,7 @@ mod tests {
             device: 0,
         });
         assert!(!service.refit_now());
-        let stale = service.predict(0.05).unwrap();
+        let stale = service.attainment(&sla).unwrap();
         assert!(stale.stale);
         assert_eq!(stale.epoch, fresh.epoch);
         let status = service.status();
@@ -1230,8 +1088,7 @@ mod tests {
             .wait();
         assert_eq!(points.len(), 3);
         assert!(points[0].fractions.is_some());
-        let goal = SlaGoal::new(0.100, 0.90);
-        let head = service.headroom(goal, 2000.0);
+        let head = service.admissible_rate(&Query::new().sla(0.100).target(0.90).upper(2000.0));
         if let Ok(h) = head {
             assert!(h.value > 0.0);
         }
@@ -1250,11 +1107,12 @@ mod tests {
         feeder.join().unwrap();
         handle.flush().unwrap();
         handle.refit_now().unwrap();
-        let p = handle.attainment(Query::new().sla(0.05)).unwrap();
+        let reader = handle.reader();
+        let p = reader.attainment(&Query::new().sla(0.05)).unwrap();
         assert!(p.value > 0.0);
-        let again = handle.attainment(Query::new().sla(0.05)).unwrap();
+        let again = reader.attainment(&Query::new().sla(0.05)).unwrap();
         assert_eq!(p.value.to_bits(), again.value.to_bits());
-        let status = handle.status().unwrap();
+        let status = reader.status().unwrap();
         assert!(status.engine.cache.hits >= 1);
         let points = handle.sweep(vec![40.0, 80.0], vec![0.05, 0.10]).unwrap();
         assert_eq!(points.len(), 2);
@@ -1274,7 +1132,7 @@ mod tests {
             .map(|_| {
                 let c = client.clone();
                 std::thread::spawn(move || {
-                    c.attainment(Query::new().sla(0.05))
+                    c.read_attainment(&Query::new().sla(0.05))
                         .unwrap()
                         .value
                         .to_bits()
@@ -1283,15 +1141,18 @@ mod tests {
             .map(|j| j.join().unwrap())
             .collect();
         assert!(answers.windows(2).all(|w| w[0] == w[1]));
-        let ranked = client.device_ranking(Query::new().sla(0.05)).unwrap();
+        let ranked = client.read_device_ranking(&Query::new().sla(0.05)).unwrap();
         assert_eq!(ranked.len(), 2, "one entry per device");
         assert!(ranked[0].1 <= ranked[1].1, "worst device first");
         drop(handle);
         assert_eq!(
-            client.attainment(Query::new().sla(0.05)),
+            client.read_attainment(&Query::new().sla(0.05)),
             Err(ServeError::Disconnected)
         );
-        assert!(matches!(client.status(), Err(ServeError::Disconnected)));
+        assert!(matches!(
+            client.read_status(),
+            Err(ServeError::Disconnected)
+        ));
     }
 
     #[test]
@@ -1305,8 +1166,8 @@ mod tests {
             service.ingest(ev);
         }
         service.refit_now();
-        let first = service.predict(0.05).unwrap();
-        let again = service.predict(0.05).unwrap();
+        let first = service.attainment(&Query::new().sla(0.05)).unwrap();
+        let again = service.attainment(&Query::new().sla(0.05)).unwrap();
         assert_eq!(first.value.to_bits(), again.value.to_bits());
         service.sweep(&[40.0, 80.0], vec![0.05]).unwrap().wait();
 
@@ -1402,41 +1263,6 @@ mod tests {
             assert_eq!(e.field, *field);
             assert!(e.to_string().contains("ServeConfig."), "{e}");
         }
-    }
-
-    #[test]
-    fn coded_queries_agree_across_channel_and_snapshot_paths() {
-        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
-        let client = handle.client();
-        for ev in events(40.0, 20.0, 2) {
-            client.ingest(ev).unwrap();
-        }
-        client.flush().unwrap();
-        client.refit_now().unwrap();
-
-        let frac = client.attainment(Query::new().sla(0.05).n_k(4, 2)).unwrap();
-        assert!(frac.value > 0.0 && frac.value <= 1.0);
-        let via_reader = client
-            .read_attainment(&Query::new().sla(0.05).n_k(4, 2))
-            .unwrap();
-        assert_eq!(frac.value.to_bits(), via_reader.value.to_bits());
-
-        let p99 = client
-            .latency_percentile(Query::new().p(0.99).n_k(4, 2))
-            .unwrap();
-        assert!(p99.value > 0.0);
-        let p99_reader = client
-            .read_latency_percentile(&Query::new().p(0.99).n_k(4, 2))
-            .unwrap();
-        assert_eq!(p99.value.to_bits(), p99_reader.value.to_bits());
-
-        // Needing more of the launched chunks (a max-like join) can only
-        // slow the read down: p99 of a 4-of-4 join dominates 2-of-4.
-        let p99_44 = client
-            .latency_percentile(Query::new().p(0.99).n_k(4, 4))
-            .unwrap();
-        assert!(p99_44.value >= p99.value);
-        drop(handle);
     }
 
     #[test]
@@ -1577,15 +1403,16 @@ mod tests {
         }
         handle.flush().unwrap();
         handle.refit_now().unwrap();
-        let p = handle
-            .attainment(Query::tenant(blue.clone()).sla(0.05))
+        let client = handle.client();
+        let p = client
+            .read_attainment(&Query::tenant(blue.clone()).sla(0.05))
             .unwrap();
         assert!(p.value > 0.0);
-        let status = handle.status_for(&blue).unwrap();
+        let status = client.read_status_for(&blue).unwrap();
         assert!(status.epoch.is_some());
         // The default tenant saw nothing.
         assert_eq!(
-            handle.attainment(Query::new().sla(0.05)),
+            client.read_attainment(&Query::new().sla(0.05)),
             Err(ServeError::NotCalibrated)
         );
         drop(handle);

@@ -41,11 +41,11 @@
 //!   (including the bumped per-entry generations) *happens-before* any
 //!   read through the swapped pointer. There is exactly one writer (the
 //!   service thread), so read-modify-write on the cell needs no CAS loop.
-//! * Answers are **bit-identical** to the worker path by construction:
-//!   both paths funnel through the shared
-//!   [`InversionCache`], which reconstructs every
-//!   input from the quantized tenant-scoped key and runs one evaluation
-//!   code path.
+//! * Answers are **bit-identical** to the in-process
+//!   [`SlaService`](crate::SlaService) queries and to a cold, freshly
+//!   installed engine by construction: every path funnels through an
+//!   [`InversionCache`], which reconstructs every input from the quantized
+//!   tenant-scoped key and runs one evaluation code path.
 //! * The live event clock is a plain `AtomicU64` holding the `f64` bits
 //!   of the newest event time (`Relaxed` — it is an independent
 //!   monotone scalar, not a synchronization edge).
@@ -204,7 +204,7 @@ fn state_bytes(state: &SnapshotState) -> usize {
 pub(crate) struct SnapshotShared {
     cell: ArcCell<FleetState>,
     /// Set when the service thread exits; readers then answer
-    /// [`ServeError::Disconnected`], matching the channel path.
+    /// [`ServeError::Disconnected`], as writes to the dead channel do.
     closed: AtomicBool,
     /// `f64` bits of the newest event time, updated on every ingest.
     event_time: AtomicU64,
@@ -298,9 +298,9 @@ impl SnapshotShared {
 /// (or [`ServiceHandle::reader`](crate::ServiceHandle::reader)); cloning
 /// is cheap (one `Arc`). Every method is a pure read: one atomic load of
 /// the published state, then evaluation through the shared, sharded
-/// [`InversionCache`] — so answers are
-/// bit-identical to the worker path and concurrent readers scale without
-/// serializing on the service thread.
+/// [`InversionCache`] — so concurrent readers scale without serializing
+/// on the service thread. This is the only read path of a spawned
+/// service; the worker thread handles writes and control alone.
 ///
 /// Tenant-unaware convenience methods are scoped to the reserved
 /// `default` tenant; [`Query`]-taking methods reach any tenant.

@@ -20,7 +20,7 @@ use std::time::Duration;
 use cos_bench::scenario::calibrate;
 use cosmodel::gate::{encode_events, handle_full, json, parse_one, Gate, GateConfig, ReadPath};
 use cosmodel::serve::{
-    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, ServeConfig, SlaService,
+    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, Query, ServeConfig, SlaService,
     TelemetryEvent,
 };
 use cosmodel::storesim::{ClusterConfig, DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
@@ -251,7 +251,9 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     let ref_status = reference.status();
     let ref_epoch = ref_status.epoch.expect("reference calibrated") as f64;
     for &sla in &slas {
-        let expected = reference.predict(sla).expect("reference answers");
+        let expected = reference
+            .attainment(&Query::new().sla(sla))
+            .expect("reference answers");
         let (status, body) = client.get(&format!("/v1/attainment?sla={sla}"));
         assert_eq!(status, 200, "{body}");
         let doc = json::parse(&body).unwrap();
@@ -265,7 +267,9 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
         assert_eq!(doc.f64_field("epoch").unwrap(), ref_epoch, "same epoch");
         assert_eq!(doc.f64_field("sla").unwrap().to_bits(), sla.to_bits());
     }
-    let expected_p95 = reference.percentile(0.95).expect("reference answers");
+    let expected_p95 = reference
+        .latency_percentile(&Query::new().p(0.95))
+        .expect("reference answers");
     let (status, body) = client.get("/v1/percentile?p=0.95");
     assert_eq!(status, 200, "{body}");
     assert_eq!(
@@ -295,101 +299,13 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     drop(handle);
 }
 
-/// Two gates over the *same* spawned service — one forced onto the worker
-/// channel path, one onto the lock-free snapshot path — must serve
-/// byte-identical response bodies for every prediction route: both funnel
-/// through the same quantized evaluation code path and the same JSON
-/// writer, so nothing may differ, down to the last bit of every `f64`.
+/// Every prediction route over the wire must serve bodies byte-identical
+/// to the in-process route layer ([`handle_full`], same service, same
+/// epoch): the reactor adds transport and nothing else, down to the last
+/// bit of every `f64`. Coded answers echo their spec, and a `k`-of-`n`
+/// join with larger `k` is never faster.
 #[test]
-fn worker_and_snapshot_gates_answer_byte_identically() {
-    use cosmodel::serve::OpClass;
-    let mut service = SlaService::new(bare_base(), ServeConfig::default());
-    // A deterministic 20 s stream at 40 req/s per device.
-    let mut i = 0u64;
-    let mut t = 0.0;
-    while t < 20.0 {
-        for d in 0..2 {
-            service.ingest(TelemetryEvent::Arrival { at: t, device: d });
-            service.ingest(TelemetryEvent::DataRead { at: t, device: d });
-            for class in OpClass::ALL {
-                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
-                service.ingest(TelemetryEvent::Op {
-                    at: t,
-                    device: d,
-                    class,
-                    latency,
-                });
-                i += 1;
-            }
-            service.ingest(TelemetryEvent::Completion {
-                arrival: t,
-                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
-                device: d,
-            });
-        }
-        t += 1.0 / 40.0;
-    }
-    assert!(service.refit_now(), "deterministic stream must fit");
-    let handle = service.spawn();
-
-    let gate_for = |path: ReadPath| {
-        let config = GateConfig::builder().read_path(path).build().unwrap();
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind")
-    };
-    let worker_gate = gate_for(ReadPath::Worker);
-    let snapshot_gate = gate_for(ReadPath::Snapshot);
-    let mut worker = Client::connect(worker_gate.local_addr());
-    let mut snapshot = Client::connect(snapshot_gate.local_addr());
-
-    let targets = [
-        "/v1/attainment?sla=0.05",
-        "/v1/attainment?sla=0.05&rate=120",
-        "/v1/attainment?sla=0.01",
-        "/v1/percentile?p=0.95",
-        "/v1/headroom?sla=0.05&target=0.9",
-        "/v1/bottlenecks?sla=0.05",
-        "/v1/attainment?sla=0.05&n=4&k=2",
-        "/v1/percentile?p=0.95&n=6&k=4",
-        "/v1/percentile?p=0.99&n=9&k=6",
-    ];
-    for target in targets {
-        let (ws, wb) = worker.get(target);
-        let (ss, sb) = snapshot.get(target);
-        assert_eq!(ws, 200, "worker path {target}: {wb}");
-        assert_eq!(ss, 200, "snapshot path {target}: {sb}");
-        assert_eq!(wb, sb, "bodies differ for {target}");
-    }
-
-    // /v1/status: the cache counters legitimately differ between the two
-    // requests (each read bumps them), so compare only the fields the
-    // snapshot must mirror exactly: the epoch and the live event clock.
-    let (ws, wb) = worker.get("/v1/status");
-    let (ss, sb) = snapshot.get("/v1/status");
-    assert_eq!(ws, 200, "{wb}");
-    assert_eq!(ss, 200, "{sb}");
-    let wd = json::parse(&wb).unwrap();
-    let sd = json::parse(&sb).unwrap();
-    assert_eq!(
-        wd.f64_field("epoch").unwrap().to_bits(),
-        sd.f64_field("epoch").unwrap().to_bits()
-    );
-    assert_eq!(
-        wd.f64_field("event_time").unwrap().to_bits(),
-        sd.f64_field("event_time").unwrap().to_bits()
-    );
-
-    worker_gate.shutdown();
-    snapshot_gate.shutdown();
-    drop(handle);
-}
-
-/// Coded-read smoke over the wire: the gate must serve coded
-/// percentile/attainment answers byte-identical to the in-process route
-/// layer ([`handle_full`] on the snapshot path, same service, same
-/// epoch), the spec is echoed back, and a `k`-of-`n` join with larger `k`
-/// is never faster.
-#[test]
-fn coded_queries_answer_identically_on_the_wire_and_in_process() {
+fn prediction_routes_answer_identically_on_the_wire_and_in_process() {
     let mut service = SlaService::new(bare_base(), ServeConfig::default());
     let mut i = 0u64;
     let mut t = 0.0;
@@ -432,11 +348,17 @@ fn coded_queries_answer_identically_on_the_wire_and_in_process() {
     };
 
     let targets = [
+        "/v1/attainment?sla=0.05",
+        "/v1/attainment?sla=0.05&rate=120",
+        "/v1/attainment?sla=0.01",
+        "/v1/percentile?p=0.95",
+        "/v1/headroom?sla=0.05&target=0.9",
+        "/v1/bottlenecks?sla=0.05",
         "/v1/percentile?p=0.99&n=4&k=2",
         "/v1/percentile?p=0.99&n=4&k=4",
         "/v1/attainment?sla=0.05&n=6&k=4",
     ];
-    let mut p99 = Vec::new();
+    let mut values = Vec::new();
     for target in targets {
         let (rs, rb) = wire.get(target);
         let (ps, pb) = in_process(target);
@@ -444,21 +366,37 @@ fn coded_queries_answer_identically_on_the_wire_and_in_process() {
         assert_eq!(ps, 200, "in-process {target}: {pb}");
         assert_eq!(rb, pb, "bodies differ for {target}");
         let doc = json::parse(&rb).unwrap();
-        assert!(doc.f64_field("n").is_ok(), "spec echoed: {rb}");
-        p99.push(doc.f64_field("value").unwrap());
+        if target.contains("&n=") {
+            assert!(doc.f64_field("n").is_ok(), "spec echoed: {rb}");
+        }
+        values.push(doc.f64_field("value").ok());
     }
     // Needing all four chunks (a max) dominates needing any two.
+    let (p99_2of4, p99_4of4) = (values[6].unwrap(), values[7].unwrap());
     assert!(
-        p99[1] >= p99[0],
-        "4-of-4 p99 {} < 2-of-4 {}",
-        p99[1],
-        p99[0]
+        p99_4of4 >= p99_2of4,
+        "4-of-4 p99 {p99_4of4} < 2-of-4 {p99_2of4}"
     );
     // Malformed specs are rejected identically on the wire and in process.
     let (rs, rb) = wire.get("/v1/percentile?p=0.99&n=4&k=9");
     let (ps, pb) = in_process("/v1/percentile?p=0.99&n=4&k=9");
     assert_eq!((rs, ps), (400, 400));
     assert_eq!(rb, pb, "refusal bodies differ");
+
+    // /v1/status: the cache counters legitimately differ between the two
+    // requests (each read bumps them), so compare only the fields the
+    // snapshot must mirror exactly: the epoch and the event clock.
+    let (rs, rb) = wire.get("/v1/status");
+    let (ps, pb) = in_process("/v1/status");
+    assert_eq!((rs, ps), (200, 200), "{rb} / {pb}");
+    let (rd, pd) = (json::parse(&rb).unwrap(), json::parse(&pb).unwrap());
+    for field in ["epoch", "event_time"] {
+        assert_eq!(
+            rd.f64_field(field).unwrap().to_bits(),
+            pd.f64_field(field).unwrap().to_bits(),
+            "{field}"
+        );
+    }
 
     gate.shutdown();
     drop(handle);

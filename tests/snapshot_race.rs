@@ -1,12 +1,12 @@
 //! Race and bit-identity tests for the lock-free snapshot read path.
 //!
 //! The contract under test: any number of [`SnapshotReader`]s answering on
-//! their own threads must return **bit-identical** results to the worker
-//! channel path and to a cold, freshly-installed [`PredictionEngine`]; a
-//! reader racing a re-fit must only ever observe whole epochs (monotone,
-//! never torn); and the shared [`InversionCache`] must coalesce identical
-//! concurrent misses into one computation while staying bounded under
-//! high-cardinality query streams.
+//! their own threads must return **bit-identical** results to an identical
+//! in-process [`SlaService`] and to a cold, freshly-installed
+//! [`PredictionEngine`]; a reader racing a re-fit must only ever observe
+//! whole epochs (monotone, never torn); and the shared [`InversionCache`]
+//! must coalesce identical concurrent misses into one computation while
+//! staying bounded under high-cardinality query streams.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,14 +74,15 @@ fn calibrated_service() -> SlaService {
     service
 }
 
-/// The same question answered three ways — snapshot reader, worker
-/// channel, and a cold engine freshly installed with the fitted
-/// parameters — must produce the same `f64` bits, because every path
-/// funnels through one quantized evaluation code path.
+/// The same question answered three ways — snapshot reader of a spawned
+/// service, an identical in-process service with its own cache, and a
+/// cold engine freshly installed with the fitted parameters — must
+/// produce the same `f64` bits, because every path funnels through one
+/// quantized evaluation code path.
 #[test]
-fn reader_worker_and_cold_engine_agree_bit_for_bit() {
-    // Reference: an identical in-process service, its fitted parameters
-    // transplanted into a cold engine with an empty private cache.
+fn reader_service_and_cold_engine_agree_bit_for_bit() {
+    // Reference: an identical in-process service; its fitted parameters
+    // are also transplanted into a cold engine with an empty private cache.
     let reference = calibrated_service();
     let fitted = reference
         .engine()
@@ -92,99 +93,93 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
     let mut cold = PredictionEngine::new(config.variant);
     cold.install(fitted.params.clone(), fitted.fitted_at, None);
 
-    // Subject: the same service type spawned; ask through both paths.
+    // Subject: the same service type spawned, asked through its reader.
     let handle = calibrated_service().spawn();
     let client = handle.client();
     let goal = SlaGoal::new(0.05, 0.90);
 
     for sla in [0.010, 0.050, 0.100] {
-        let worker = client
-            .attainment(Query::new().sla(sla))
-            .expect("worker answers");
-        let reader = client
-            .read_attainment(&Query::new().sla(sla))
-            .expect("reader answers");
+        let query = Query::new().sla(sla);
+        let service = reference.attainment(&query).expect("service answers");
+        let reader = client.read_attainment(&query).expect("reader answers");
         let cold_p = cold.fraction_meeting_sla(sla).expect("cold engine answers");
         assert_eq!(
-            worker.value.to_bits(),
+            service.value.to_bits(),
             reader.value.to_bits(),
-            "sla {sla}: worker {} vs reader {}",
-            worker.value,
+            "sla {sla}: service {} vs reader {}",
+            service.value,
             reader.value
         );
         assert_eq!(
-            worker.value.to_bits(),
+            service.value.to_bits(),
             cold_p.value.to_bits(),
-            "sla {sla}: worker {} vs cold engine {}",
-            worker.value,
+            "sla {sla}: service {} vs cold engine {}",
+            service.value,
             cold_p.value
         );
-        assert_eq!(worker.epoch, reader.epoch, "same epoch on both paths");
+        assert_eq!(service.epoch, reader.epoch, "same epoch on both sides");
     }
 
     for (rate, sla) in [(60.0, 0.05), (120.0, 0.05), (90.0, 0.01)] {
-        let worker = client
-            .attainment(Query::new().sla(sla).rate(rate))
-            .expect("worker answers");
-        let reader = client
-            .read_attainment(&Query::new().sla(sla).rate(rate))
-            .expect("reader answers");
+        let query = Query::new().sla(sla).rate(rate);
+        let service = reference.attainment(&query).expect("service answers");
+        let reader = client.read_attainment(&query).expect("reader answers");
         let cold_p = cold.fraction_at_rate(rate, sla).expect("cold answers");
-        assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "at {rate}");
-        assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "at {rate}");
+        assert_eq!(service.value.to_bits(), reader.value.to_bits(), "at {rate}");
+        assert_eq!(service.value.to_bits(), cold_p.value.to_bits(), "at {rate}");
     }
 
     for p in [0.50, 0.95, 0.99] {
-        let worker = client
-            .latency_percentile(Query::new().p(p))
-            .expect("worker answers");
+        let query = Query::new().p(p);
+        let service = reference
+            .latency_percentile(&query)
+            .expect("service answers");
         let reader = client
-            .read_latency_percentile(&Query::new().p(p))
+            .read_latency_percentile(&query)
             .expect("reader answers");
         let cold_p = cold.latency_percentile(p).expect("cold answers");
-        assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "p{p}");
-        assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "p{p}");
+        assert_eq!(service.value.to_bits(), reader.value.to_bits(), "p{p}");
+        assert_eq!(service.value.to_bits(), cold_p.value.to_bits(), "p{p}");
     }
 
-    let headroom_query = || {
-        Query::new()
-            .sla(goal.sla)
-            .target(goal.target_fraction)
-            .upper(2000.0)
-    };
-    let worker = client
-        .admissible_rate(headroom_query())
-        .expect("worker answers");
+    let headroom_query = Query::new()
+        .sla(goal.sla)
+        .target(goal.target_fraction)
+        .upper(2000.0);
+    let service = reference
+        .admissible_rate(&headroom_query)
+        .expect("service answers");
     let reader = client
-        .read_admissible_rate(&headroom_query())
+        .read_admissible_rate(&headroom_query)
         .expect("reader answers");
     let cold_p = cold.headroom(goal, 2000.0).expect("cold answers");
-    assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "headroom");
-    assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "headroom");
+    assert_eq!(service.value.to_bits(), reader.value.to_bits(), "headroom");
+    assert_eq!(service.value.to_bits(), cold_p.value.to_bits(), "headroom");
 
-    let worker = client
-        .device_ranking(Query::new().sla(0.05))
-        .expect("worker answers");
+    let ranking_query = Query::new().sla(0.05);
+    let service = reference
+        .device_ranking(&ranking_query)
+        .expect("service answers");
     let reader = client
-        .read_device_ranking(&Query::new().sla(0.05))
+        .read_device_ranking(&ranking_query)
         .expect("reader answers");
     let cold_b = cold.bottlenecks(0.05).expect("cold answers");
-    assert_eq!(worker.len(), reader.len());
-    for ((wd, wf), (rd, rf)) in worker.iter().zip(reader.iter()) {
-        assert_eq!(wd, rd, "same device order");
-        assert_eq!(wf.to_bits(), rf.to_bits(), "device {wd}");
+    assert_eq!(service.len(), reader.len());
+    for ((sd, sf), (rd, rf)) in service.iter().zip(reader.iter()) {
+        assert_eq!(sd, rd, "same device order");
+        assert_eq!(sf.to_bits(), rf.to_bits(), "device {sd}");
     }
-    for ((wd, wf), (cd, cf)) in worker.iter().zip(cold_b.iter()) {
-        assert_eq!(wd, cd);
-        assert_eq!(wf.to_bits(), cf.to_bits(), "device {wd} vs cold");
+    for ((sd, sf), (cd, cf)) in service.iter().zip(cold_b.iter()) {
+        assert_eq!(sd, cd);
+        assert_eq!(sf.to_bits(), cf.to_bits(), "device {sd} vs cold");
     }
 
-    // Status agreement on the fields both paths own: epoch and the live
-    // event clock travel bit-exactly through the snapshot.
-    let ws = client.status().expect("worker status");
+    // Status agreement on the fields both sides own: epoch and the event
+    // clock travel bit-exactly through the snapshot.
+    let ss = reference.status();
     let rs = client.read_status().expect("reader status");
-    assert_eq!(ws.epoch, rs.epoch);
-    assert_eq!(ws.event_time.to_bits(), rs.event_time.to_bits());
+    assert_eq!(ss.epoch, rs.epoch);
+    assert_eq!(ss.event_time.to_bits(), rs.event_time.to_bits());
 }
 
 /// Readers hammering the snapshot path while the worker re-fits must see
