@@ -6,14 +6,11 @@
 //! accuracy, and writes them to `BENCH_inversion.json` / `BENCH_sweep.json`
 //! / `BENCH_gate.json` / `BENCH_ctrl.json` / `BENCH_coded.json`, alongside
 //! the frozen pre-optimization numbers (`baseline`) so the speedup is
-//! auditable from the committed files. For the gate file both sections are
-//! measured on the *same run* of the event-driven reactor: `baseline` is
-//! the reference side of each same-run pair (level-triggered serial RPC,
-//! shared-listener accept churn), `current` the throughput ladder plus the
-//! reactor's syscall and allocation cells and the default side of each
-//! pair (edge-triggered, sharded accept). For the ctrl file: `baseline` is
-//! the snapshot gate with no controller, `current` the same gate with
-//! admission control deciding every request. For the coded file:
+//! auditable from the committed files. The gate and ctrl files compare
+//! against nothing, so their `baseline` sections are empty: the gate's
+//! `current` is the reactor's throughput ladder plus its syscall and
+//! allocation cells, the ctrl file's the per-request admission decision
+//! cost. For the coded file:
 //! `baseline` is the plain replica model predicting coded quantiles as if
 //! no stripe join existed, `current` the fork-join [`CodedReadModel`] on
 //! the same seeded runs.
@@ -28,15 +25,17 @@
 //!       re-measures and exits nonzero if any metric regressed more than
 //!       2x against the committed `current` section (both the named file
 //!       and BENCH_coded.json), if the obs hot path or the per-request
-//!       admission decision blows its absolute budget, if the
-//!       edge-triggered reactor is slower than the level-triggered
-//!       one (same run, best-of-three), if the reactor's warm window
-//!       blows its syscalls-per-request or
+//!       admission decision blows its absolute budget, if the reactor's
+//!       warm window blows its syscalls-per-request or
 //!       allocations-per-request budget, if any coded-read cell breaks
 //!       its bracket / accuracy / inversion-cost budget, if the batched
 //!       fleet refit fails its speedup floor (full runs on boxes with
 //!       >= 4 workers only), or if a ~5% delta publish ships more than a
 //!       quarter of the full-state bytes
+//!
+//! Each inversion cell gets one untimed warm-up call and reports the
+//! median of five timed repeats, so a cold first measurement after a build
+//! cannot stand for the cell.
 //!
 //! Full runs additionally write `BENCH_fleet.json`: full-fleet refit
 //! wall-time (sequential vs batched over `cos-par`) and warm snapshot
@@ -50,13 +49,12 @@ use std::time::Instant;
 
 use cos_distr::{Degenerate, Gamma};
 use cos_gate::json::{self, Value};
-use cos_gate::{AcceptMode, Gate, GateConfig};
+use cos_gate::{Gate, GateConfig};
 use cos_model::{
     model_at_rate, CodedReadModel, CodingSpec, DeviceParams, FrontendParams, ModelVariant,
     SystemModel, SystemParams,
 };
 use cos_numeric::{quantile_from_lst, CountingLaplaceFn, InversionConfig};
-use cos_par::poller::TriggerMode;
 use cos_queueing::{from_distribution, from_dyn_service};
 use cos_serve::{
     CalibrationBase, OpClass, Query, ServeConfig, ServiceHandle, SlaService, TelemetryEvent,
@@ -121,6 +119,19 @@ fn time_it<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64 * 1e6 // us/iter
 }
 
+/// Timed repeats per inversion cell; the cell reports their median.
+const REPEATS: usize = 5;
+
+/// [`time_it`] after one untimed warm-up call, as the median of
+/// [`REPEATS`] timed repeats: the first call of a fresh process pays page
+/// faults and cold caches, and one slow repeat cannot move a median.
+fn time_median<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(f());
+    let mut runs: Vec<f64> = (0..REPEATS).map(|_| time_it(iters, &mut f)).collect();
+    runs.sort_by(f64::total_cmp);
+    runs[REPEATS / 2]
+}
+
 /// Pre-optimization numbers (main branch: scalar closure inversion path,
 /// 80-step bisection quantile, serial sweeps), measured with the full
 /// iteration counts on this container.
@@ -143,8 +154,8 @@ fn measure_inversion(quick: bool) -> Vec<(&'static str, f64)> {
     let s1 = SystemModel::new(&s1_params(120.0), ModelVariant::Full).unwrap();
     let s16 = SystemModel::new(&s16_params(400.0), ModelVariant::Full).unwrap();
 
-    let cdf_s1 = time_it((200 / k).max(1), || s1.fraction_meeting_sla(0.05));
-    let cdf_s16 = time_it((50 / k).max(1), || s16.fraction_meeting_sla(0.05));
+    let cdf_s1 = time_median((200 / k).max(1), || s1.fraction_meeting_sla(0.05));
+    let cdf_s16 = time_median((50 / k).max(1), || s16.fraction_meeting_sla(0.05));
 
     // Quantile inversion count: with the batch path every inversion is one
     // eval_batch call, so batch_calls == inversions exactly.
@@ -155,10 +166,10 @@ fn measure_inversion(quick: bool) -> Vec<(&'static str, f64)> {
     quantile_from_lst(&counting, 0.95, 0.05, &cfg).unwrap();
     let inversions = counting.batch_calls();
 
-    let quantile_us = time_it((20 / k).max(1), || {
+    let quantile_us = time_median((20 / k).max(1), || {
         quantile_from_lst(&lst, 0.95, 0.05, &cfg)
     });
-    let percentile_us = time_it((20 / k).max(1), || s1.latency_percentile(0.95));
+    let percentile_us = time_median((20 / k).max(1), || s1.latency_percentile(0.95));
 
     vec![
         ("composite_cdf_s1_us", cdf_s1),
@@ -217,15 +228,6 @@ fn measure_obs(quick: bool) -> Vec<(&'static str, f64)> {
 
 /// The absolute obs-overhead budget enforced in `--check` mode.
 const OBS_RECORD_BUDGET_NS: f64 = 100.0;
-
-/// Minimum same-run 16-client serial-RPC throughput ratio
-/// (edge-triggered / level-triggered reactor, both best-of-three)
-/// enforced in `--check` mode. Serial round trips make per-request
-/// syscall cost the dominant term, which is where the edge-triggered
-/// short-read exit (one read per wake instead of read + `WouldBlock`
-/// read) and re-arm-free registration pay off; the edge-triggered
-/// default must never serve that regime slower than level-triggered.
-const GATE_ET_MIN_RATIO: f64 = 1.0;
 
 /// Hard ceiling on reactor syscalls per served request over the warm
 /// 16-client window (epoll waits + interest updates + reads + writev
@@ -443,195 +445,6 @@ fn bench_gate(handle: &ServiceHandle, quick: bool, include_256c: bool) -> Vec<(&
     rows
 }
 
-/// One RPC client: `n` strictly serial request→response round trips on a
-/// single keep-alive connection — no pipelining, so the per-request
-/// syscall overhead (exactly what edge triggering reduces) dominates.
-fn rpc(addr: SocketAddr, target: &str, n: usize) {
-    let mut stream = TcpStream::connect(addr).expect("connect rpc client");
-    let _ = stream.set_nodelay(true);
-    let raw = format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n");
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    for _ in 0..n {
-        stream.write_all(raw.as_bytes()).expect("write rpc");
-        // Framing-only read of exactly one response (any status: the
-        // trigger-mode pair deliberately drives the cheapest route).
-        loop {
-            if let Some(head_end) = find_double_crlf(&buf) {
-                let head = std::str::from_utf8(&buf[..head_end]).expect("ASCII head");
-                assert!(head.starts_with("HTTP/1.1 "), "gate answered: {head}");
-                let body_len: usize = head
-                    .lines()
-                    .find_map(|l| l.strip_prefix("Content-Length: "))
-                    .map(|v| v.trim().parse().expect("content length"))
-                    .unwrap_or(0);
-                if buf.len() >= head_end + body_len {
-                    buf.drain(..head_end + body_len);
-                    break;
-                }
-            }
-            let got = stream.read(&mut chunk).expect("read rpc response");
-            assert!(got > 0, "EOF mid-benchmark");
-            buf.extend_from_slice(&chunk[..got]);
-        }
-    }
-}
-
-/// Serial-RPC requests per second across `clients` concurrent clients.
-fn rpc_throughput(addr: SocketAddr, target: &'static str, clients: usize, n: usize) -> f64 {
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                rpc(addr, target, n);
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("rpc client thread");
-    }
-    (clients * n) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// One churn client: `n` one-shot connections (connect → GET → full
-/// response → server close) — the accept-path-bound load shape.
-fn churn(addr: SocketAddr, n: usize) {
-    for _ in 0..n {
-        let mut stream = TcpStream::connect(addr).expect("connect churn client");
-        let _ = stream.set_nodelay(true);
-        stream
-            .write_all(
-                b"GET /v1/attainment?sla=0.05 HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n",
-            )
-            .expect("write churn");
-        let mut buf = Vec::new();
-        stream.read_to_end(&mut buf).expect("read churn");
-        assert!(buf.starts_with(b"HTTP/1.1 200"), "churn reply");
-    }
-}
-
-/// One-shot connections per second (== requests per second) across
-/// `clients` concurrent churn clients.
-fn churn_throughput(addr: SocketAddr, clients: usize, n: usize) -> f64 {
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                churn(addr, n);
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("churn client thread");
-    }
-    (clients * n) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Same-run edge-vs-level trigger comparison: the default reactor gate
-/// under 16 serial-RPC clients, identical except for
-/// [`GateConfig::trigger_mode`]. Serial RPC (not pipelining) so syscalls
-/// per request dominate — the regime the edge-triggered contract (fewer
-/// reads via the short-read exit, zero re-arms) is built for. Each side
-/// is best-of-three (scheduler noise only ever subtracts throughput).
-/// Returns `(edge_rps, level_rps)`.
-fn gate_trigger_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
-    let warm_n = if quick { 400 } else { 1500 };
-    let spawn = |mode: TriggerMode| {
-        let config = GateConfig::builder()
-            .trigger_mode(mode)
-            .max_connections(512)
-            .build()
-            .expect("gate config");
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind gate")
-    };
-    // Both gates stay alive for the whole comparison and rounds are
-    // interleaved with alternating order, so slow monotonic drift
-    // (frequency scaling, allocator state) cancels instead of always
-    // taxing whichever side happens to be measured second.
-    let edge_gate = spawn(TriggerMode::Edge);
-    let level_gate = spawn(TriggerMode::Level);
-    // A route-miss 404 is the cheapest response the gate can produce, so
-    // the per-request syscall count — the thing the two trigger modes
-    // actually differ on — dominates the measurement instead of route
-    // dispatch drowning it.
-    const TARGET: &str = "/v1/nope";
-    let (edge_addr, level_addr) = (edge_gate.local_addr(), level_gate.local_addr());
-    rpc_throughput(edge_addr, TARGET, 1, 64); // prewarm
-    rpc_throughput(level_addr, TARGET, 1, 64);
-    let (mut edge, mut level) = (f64::MIN, f64::MIN);
-    for round in 0..6 {
-        let order = if round % 2 == 0 {
-            [edge_addr, level_addr]
-        } else {
-            [level_addr, edge_addr]
-        };
-        for addr in order {
-            let rps = rpc_throughput(addr, TARGET, 16, warm_n);
-            if addr == edge_addr {
-                edge = edge.max(rps);
-            } else {
-                level = level.max(rps);
-            }
-        }
-    }
-    edge_gate.shutdown();
-    level_gate.shutdown();
-    (edge, level)
-}
-
-/// Same-run sharded-vs-shared accept comparison under connection churn
-/// (the accept-bound load shape), both sides on a reactor pool forced to
-/// at least two threads so the `SO_REUSEPORT` group actually forms.
-/// Returns `(sharded_rps, shared_rps)`; on platforms where sharding is
-/// unavailable both sides run shared and the ratio reads ~1.
-fn gate_accept_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
-    let churn_n = if quick { 150 } else { 500 };
-    let threads = cos_par::default_workers().max(2);
-    let spawn = |mode: AcceptMode| {
-        let config = GateConfig::builder()
-            .accept_mode(mode)
-            .reactor_threads(threads)
-            .max_connections(512)
-            .build()
-            .expect("gate config");
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind gate")
-    };
-    // Same interleaved-rounds discipline as `gate_trigger_pair`: both
-    // gates live for the whole comparison, alternating order per round.
-    let sharded_gate = spawn(AcceptMode::Sharded);
-    let shared_gate = spawn(AcceptMode::Shared);
-    let (sharded_addr, shared_addr) = (sharded_gate.local_addr(), shared_gate.local_addr());
-    churn_throughput(sharded_addr, 1, 16); // prewarm
-    churn_throughput(shared_addr, 1, 16);
-    let (mut sharded, mut shared) = (f64::MIN, f64::MIN);
-    for round in 0..4 {
-        let order = if round % 2 == 0 {
-            [sharded_addr, shared_addr]
-        } else {
-            [shared_addr, sharded_addr]
-        };
-        for addr in order {
-            let rps = churn_throughput(addr, 16, churn_n);
-            if addr == sharded_addr {
-                sharded = sharded.max(rps);
-            } else {
-                shared = shared.max(rps);
-            }
-        }
-    }
-    sharded_gate.shutdown();
-    shared_gate.shutdown();
-    (sharded, shared)
-}
-
 /// Hard ceiling on the per-request admission decision enforced in
 /// `--check` mode: [`cos_ctrl::Controller::decide`] sits on every gate
 /// request, so it must stay under a microsecond — an atomic load plus (on
@@ -640,11 +453,8 @@ const CTRL_DECIDE_BUDGET_NS: f64 = 1000.0;
 
 /// Admission-controller cost: the bare per-request decision latency (fast
 /// path at zero shed, and the error-diffusion accumulator path at a
-/// partial shed), plus same-run warm gate throughput with the controller
-/// off (`baseline`) versus on at zero shed (`current`) — the tax every
-/// *admitted* request pays.
-#[allow(clippy::type_complexity)]
-fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>) {
+/// partial shed).
+fn measure_ctrl(quick: bool) -> Vec<(&'static str, f64)> {
     use cos_ctrl::{Controller, CtrlConfig, SlaClass};
 
     let mut service = SlaService::new(gate_base(), ServeConfig::default());
@@ -653,9 +463,8 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     }
     service.refit_now();
     let handle = service.spawn();
-    let ctrl = Arc::new(
-        Controller::new(handle.client().reader(), CtrlConfig::default()).expect("valid policy"),
-    );
+    let ctrl =
+        Controller::new(handle.client().reader(), CtrlConfig::default()).expect("valid policy");
 
     let iters: u64 = if quick { 200_000 } else { 2_000_000 };
     let decide_at = |shed: f64| {
@@ -669,51 +478,16 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
         }
         start.elapsed().as_secs_f64() / iters as f64 * 1e9
     };
-    let decide_zero_ns = decide_at(0.0);
-    let decide_shed_ns = decide_at(0.3);
-    ctrl.force_shed(0.0);
-
-    let warm_n = if quick { 200 } else { 1500 };
-    let bench = |controller: Option<Arc<cos_ctrl::Controller>>| {
-        let mut builder = GateConfig::builder();
-        if let Some(c) = controller {
-            builder = builder.controller(c);
-        }
-        let gate = Gate::bind(
-            "127.0.0.1:0",
-            handle.client(),
-            builder.build().expect("config"),
-        )
-        .expect("bind gate");
-        let addr = gate.local_addr();
-        let target = "/v1/attainment?sla=0.05".to_string();
-        // Prewarm the hot key so both phases measure pure cache reads.
-        throughput(addr, vec![vec![target.clone()]]);
-        let rps = throughput(addr, (0..4).map(|_| vec![target.clone(); warm_n]).collect());
-        gate.shutdown();
-        rps
-    };
-    let off_rps = bench(None);
-    let on_rps = bench(Some(Arc::clone(&ctrl)));
-
-    (
-        vec![("warm_4c_rps", off_rps)],
-        vec![
-            ("decide_zero_ns", decide_zero_ns),
-            ("decide_shed_ns", decide_shed_ns),
-            ("warm_4c_rps", on_rps),
-        ],
-    )
+    vec![
+        ("decide_zero_ns", decide_at(0.0)),
+        ("decide_shed_ns", decide_at(0.3)),
+    ]
 }
 
 /// Multi-client loopback throughput of the reactor gate against one
-/// calibrated service, same process, same run, same cache: `baseline` =
-/// the reference side of each same-run pair (level-triggered serial RPC,
-/// shared-listener accept churn), `current` = the throughput ladder,
-/// per-request costs, the default side of each pair (edge-triggered,
-/// sharded accept), and the reactor thread count.
-#[allow(clippy::type_complexity)]
-fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>) {
+/// calibrated service: the throughput ladder, per-request costs, and the
+/// reactor thread count.
+fn measure_gate(quick: bool) -> Vec<(&'static str, f64)> {
     let mut service = SlaService::new(gate_base(), ServeConfig::default());
     for ev in gate_events(40.0) {
         service.ingest(ev);
@@ -721,16 +495,8 @@ fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     service.refit_now();
     let handle = service.spawn();
     let mut reactor = bench_gate(&handle, quick, !quick);
-    let (et_best, lt_best) = gate_trigger_pair(&handle, quick);
-    reactor.push(("et_rpc_16c_best_rps", et_best));
-    let (sharded_best, shared_best) = gate_accept_pair(&handle, quick);
-    reactor.push(("sharded_accept_churn_16c_rps", sharded_best));
     reactor.push(("reactor_workers", cos_par::default_workers() as f64));
-    let reference = vec![
-        ("lt_rpc_16c_best_rps", lt_best),
-        ("shared_accept_churn_16c_rps", shared_best),
-    ];
-    (reference, reactor)
+    reactor
 }
 
 // --- coded-read accuracy ---------------------------------------------------
@@ -1066,9 +832,9 @@ fn check(file: &str, fresh: &[(&str, f64)]) -> Result<(), String> {
     let mut failures = Vec::new();
     for &(key, measured) in fresh {
         if key.ends_with("_workers") || key.ends_with("_rps") || key.ends_with("_per_req") {
-            continue; // informational / machine-dependent; rps is checked
-                      // as a same-run ratio and *_per_req against absolute
-                      // budgets instead of the 2x band
+            continue; // informational / machine-dependent; *_per_req is
+                      // checked against absolute budgets instead of the 2x
+                      // band
         }
         let Some(expect) = committed.get(key).and_then(Value::as_f64) else {
             continue; // metric added after the file was generated
@@ -1098,44 +864,20 @@ fn main() {
     let inv = measure_inversion(quick);
     let sweep = measure_sweep(quick);
     let obs = measure_obs(quick);
-    let (gate_reference, gate_reactor) = measure_gate(quick);
-    let (ctrl_off, ctrl_on) = measure_ctrl(quick);
+    let gate_reactor = measure_gate(quick);
+    let ctrl = measure_ctrl(quick);
     let (coded_base, coded_cur) = measure_coded(quick);
     let (fleet_base_rows, fleet_cur) = measure_fleet(quick);
     print_metrics("inversion", &inv);
     print_metrics("sweep", &sweep);
     print_metrics("obs", &obs);
-    print_metrics("gate.reference", &gate_reference);
     print_metrics("gate.reactor", &gate_reactor);
-    print_metrics("ctrl.off", &ctrl_off);
-    print_metrics("ctrl.on", &ctrl_on);
+    print_metrics("ctrl", &ctrl);
     print_metrics("coded.naive", &as_refs(&coded_base));
     print_metrics("coded.forkjoin", &as_refs(&coded_cur));
     print_metrics("fleet.sequential", &as_refs(&fleet_base_rows));
     print_metrics("fleet.batched", &as_refs(&fleet_cur));
-    let et_ratio = metric(&gate_reactor, "et_rpc_16c_best_rps")
-        / metric(&gate_reference, "lt_rpc_16c_best_rps");
-    println!("gate.rpc_16c_ratio (edge/level trigger): {et_ratio:.2}x");
-    let shard_ratio = metric(&gate_reactor, "sharded_accept_churn_16c_rps")
-        / metric(&gate_reference, "shared_accept_churn_16c_rps");
-    println!("gate.churn_16c_ratio (sharded/shared accept): {shard_ratio:.2}x");
-    let ctrl_tax = metric(&ctrl_on, "warm_4c_rps") / metric(&ctrl_off, "warm_4c_rps");
-    println!("ctrl.warm_4c_ratio (controller on/off): {ctrl_tax:.2}x");
-
     if let Some(file) = check_file {
-        // Same-run trigger-mode check: edge-triggered registration (the
-        // default) must never serve slower than level-triggered.
-        if et_ratio < GATE_ET_MIN_RATIO {
-            eprintln!(
-                "check: FAILED: edge-triggered serial RPC only {et_ratio:.2}x level-triggered \
-                 (need >= {GATE_ET_MIN_RATIO}x)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check: edge-triggered reactor {et_ratio:.2}x level-triggered at 16 RPC clients \
-             (>= {GATE_ET_MIN_RATIO}x)"
-        );
         // Absolute per-request budgets over the reactor's warm 16-client
         // window: syscall count and reactor-thread heap allocations.
         let syscalls_per_req = metric(&gate_reactor, "syscalls_per_req");
@@ -1172,7 +914,7 @@ fn main() {
         // Per-request admission budget: both decide paths are absolute
         // ceilings, like the obs hot path.
         for key in ["decide_zero_ns", "decide_shed_ns"] {
-            let ns = metric(&ctrl_on, key);
+            let ns = metric(&ctrl, key);
             if ns >= CTRL_DECIDE_BUDGET_NS {
                 eprintln!("check: FAILED: {key} {ns:.1} >= {CTRL_DECIDE_BUDGET_NS} ns budget");
                 std::process::exit(1);
@@ -1269,14 +1011,11 @@ fn main() {
         .expect("write BENCH_sweep.json");
         std::fs::write(
             "BENCH_gate.json",
-            to_json(&gate_reference, &gate_reactor).to_string_pretty(),
+            to_json(&[], &gate_reactor).to_string_pretty(),
         )
         .expect("write BENCH_gate.json");
-        std::fs::write(
-            "BENCH_ctrl.json",
-            to_json(&ctrl_off, &ctrl_on).to_string_pretty(),
-        )
-        .expect("write BENCH_ctrl.json");
+        std::fs::write("BENCH_ctrl.json", to_json(&[], &ctrl).to_string_pretty())
+            .expect("write BENCH_ctrl.json");
         std::fs::write(
             "BENCH_coded.json",
             to_json(&as_refs(&coded_base), &as_refs(&coded_cur)).to_string_pretty(),

@@ -30,9 +30,10 @@
 //!   graceful shutdown that drains in-flight responses;
 //! * [`reactor`] — the event-driven core behind it: a fixed pool of
 //!   reactor threads multiplexing nonblocking connections over an
-//!   edge-triggered readiness poller ([`cos_par::poller`]), with sharded
-//!   `SO_REUSEPORT` accept, single-`writev` response flushes, pooled
-//!   buffers, and per-thread syscall counters ([`Gate::syscalls`]),
+//!   edge-triggered readiness poller ([`cos_par::poller`]), with
+//!   `SO_REUSEPORT` sharded accept wherever the group can form (no knob),
+//!   single-`writev` response flushes, pooled buffers, and per-thread
+//!   syscall counters ([`Gate::syscalls`]),
 //!   dispatching GETs inline through the lock-free snapshot read path.
 //!
 //! ```no_run
@@ -63,4 +64,4 @@ pub use obs::{GateObs, TRACKED_ROUTES};
 pub use routes::{
     classify, decode_events, encode_events, handle, handle_ctrl, handle_full, status_body, ReadPath,
 };
-pub use server::{AcceptMode, Gate, GateConfig, GateConfigBuilder, InvalidConfig};
+pub use server::{Gate, GateConfig, GateConfigBuilder, InvalidConfig};

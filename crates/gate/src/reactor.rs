@@ -9,30 +9,29 @@
 //! and no heap allocation in steady state. Four mechanisms, all
 //! DESIGN §15:
 //!
-//! * **Edge-triggered registration.** Each reactor's [`Poller`] runs in
-//!   [`GateConfig::trigger_mode`] (edge by default). Every connection
-//!   honors the *drain contract*: on a readable event it reads until
+//! * **Edge-triggered registration.** Every connection honors the
+//!   [`Poller`]'s *drain contract*: on a readable event it reads until
 //!   `WouldBlock` — or until a short read proves the kernel queue empty,
 //!   which saves the trailing always-`WouldBlock` read — and on a writable
-//!   event it flushes until `WouldBlock`. Under epoll+edge the poller is
+//!   event it flushes until `WouldBlock`. On epoll the poller is
 //!   [`rearm_free`](Poller::rearm_free): connections register
 //!   `READ_WRITE` once and the reactor never calls `modify` again. The
-//!   256 KiB fairness burst cap survives ET through a reactor-local
-//!   **re-drive queue**: a connection that hits the cap is queued locally
-//!   and re-driven on the next loop iteration (with a zero poll timeout),
-//!   because an edge-triggered poller will not re-report bytes it already
-//!   announced.
-//! * **Sharded accept.** Each reactor thread owns *its own* listener.
-//!   [`Gate::bind`](crate::Gate::bind) creates one listener per thread in
-//!   a `SO_REUSEPORT` group when the platform allows, so the kernel
-//!   spreads incoming connections across reactors and an accept edge
-//!   wakes exactly one thread — no thundering herd on a shared fd. When
-//!   `SO_REUSEPORT` is unavailable every reactor holds an `Arc` of the
-//!   same listener and accepts race exactly as before (the losers see
-//!   `WouldBlock`). Admission stays **global** either way: every accept
-//!   consults `Shared::try_admit`, so `max_connections`, the
-//!   over-capacity `503`, and the lingering-reject protocol are
-//!   byte-identical in both accept modes.
+//!   level-triggered portable `poll(2)` backend honors the same contract
+//!   with interest narrowing. The 256 KiB fairness burst cap survives
+//!   edge triggering through a reactor-local **re-drive queue**: a
+//!   connection that hits the cap is queued locally and re-driven on the
+//!   next loop iteration (with a zero poll timeout), because an
+//!   edge-triggered poller will not re-report bytes it already announced.
+//! * **Sharded accept.** [`Gate::bind`](crate::Gate::bind) gives each
+//!   reactor thread *its own* listener in a `SO_REUSEPORT` group whenever
+//!   it can (Linux, IPv4, ≥ 2 reactors), so the kernel spreads incoming
+//!   connections across reactors and an accept edge wakes exactly one
+//!   thread — no thundering herd on a shared fd. Otherwise, and always for
+//!   [`Gate::serve`](crate::Gate::serve), every reactor holds an `Arc` of
+//!   one shared listener and accepts race (the losers see `WouldBlock`).
+//!   Admission stays **global** either way: every accept consults
+//!   `Shared::try_admit`, so `max_connections`, the over-capacity `503`,
+//!   and the lingering-reject protocol are byte-identical on both paths.
 //! * **Vectored response flush.** Responses are queued as segments (a
 //!   pooled head+small-body buffer, plus large bodies as their own
 //!   zero-copy segment) in an `OutQueue`, and each drive cycle flushes
@@ -71,10 +70,11 @@
 //! Every poller event is handled *uniformly* by `Reactor::drive`: try to
 //! read, drain the parser, flush the output queue, then (when interest
 //! management is still needed) recompute interest. A stale or spurious
-//! event (slab slot reused, kernel-reported hangup, an extra level-mode
-//! report) therefore costs one harmless `WouldBlock` round, never a wrong
-//! state transition — which is also exactly why the portable poller's
-//! "edge" contract mode (spurious re-reports allowed) is safe here.
+//! event (slab slot reused, kernel-reported hangup, a level re-report from
+//! the portable backend) therefore costs one harmless `WouldBlock` round,
+//! never a wrong state transition — which is also exactly why the portable
+//! poller's level-triggered reading of the drain contract (spurious
+//! re-reports allowed) is safe here.
 //!
 //! # Why dispatch runs inline
 //!
@@ -119,7 +119,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cos_par::poller::{Backend, Interest, Poller, SyscallCounters, TriggerMode, WakeReader, Waker};
+use cos_par::poller::{Backend, Interest, Poller, SyscallCounters, WakeReader, Waker};
 use cos_serve::ServiceClient;
 
 use crate::http::{RequestParser, Response};
@@ -135,9 +135,8 @@ const WAKER: u64 = 1;
 const CONN_BASE: u64 = 2;
 
 /// Byte ceiling read per connection per event before yielding back to the
-/// event loop: a firehose peer gets re-queued (by the level-triggered
-/// poller, or by the reactor's own re-drive queue under edge triggering)
-/// instead of starving its neighbors on the same reactor thread.
+/// event loop: a firehose peer gets re-queued on the reactor's own re-drive
+/// queue instead of starving its neighbors on the same reactor thread.
 const READ_BURST_BYTES: usize = 256 * 1024;
 
 /// Bodies up to this size are copied into the (pooled) head buffer so a
@@ -190,13 +189,12 @@ pub(crate) fn spawn(
     let mut counters = Vec::with_capacity(listeners.len());
     let backend = backend_from_env();
     for (i, listener) in listeners.into_iter().enumerate() {
-        let poller = Poller::with_mode(backend, config.trigger_mode)?;
+        let poller = Poller::with_backend(backend)?;
         let (waker, wake_rx) = Waker::pair()?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
         poller.register(wake_rx.as_raw_fd(), WAKER, Interest::READ)?;
         counters.push(poller.counters().clone());
         let ctx = Reactor {
-            edge: config.trigger_mode == TriggerMode::Edge,
             rearm_free: poller.rearm_free(),
             counters: poller.counters().clone(),
             poller,
@@ -403,9 +401,6 @@ impl Conn {
 
 struct Reactor {
     poller: Poller,
-    /// Drain-contract mode: enables the short-read exit and the re-drive
-    /// queue semantics.
-    edge: bool,
     /// Kernel-side edge triggering: interest is `READ_WRITE` for life and
     /// `modify` is never called (see [`Poller::rearm_free`]).
     rearm_free: bool,
@@ -478,7 +473,7 @@ impl Reactor {
                 }
             }
             // Re-drive burst-capped connections the poller will not (or,
-            // level-triggered, simply has not yet) re-report.
+            // on the portable backend, simply has not yet) re-report.
             let pending = std::mem::take(&mut self.pending);
             for slot in pending {
                 self.drive(slot, draining);
@@ -649,8 +644,8 @@ impl Reactor {
             return; // stale event for a slot already closed
         };
 
-        // Read until WouldBlock, EOF, or the fairness burst ceiling. In
-        // edge mode a *short* read already proves the kernel queue empty
+        // Read until WouldBlock, EOF, or the fairness burst ceiling. A
+        // *short* read already proves the kernel queue empty
         // (a stream read returns everything available up to the buffer
         // size), so the trailing always-WouldBlock read is skipped — any
         // later refill is a fresh edge. A closing connection still reads
@@ -680,7 +675,7 @@ impl Reactor {
                             hit_burst_cap = true;
                             break;
                         }
-                        if self.edge && !conn.peer_hup && n < chunk.len() {
+                        if !conn.peer_hup && n < chunk.len() {
                             break; // short read: the kernel queue is empty
                         }
                     }
@@ -699,8 +694,8 @@ impl Reactor {
         }
         if hit_burst_cap {
             // An edge-triggered poller will not re-report what it already
-            // announced; queue a local re-drive. (Harmless double-drive
-            // under level triggering.)
+            // announced; queue a local re-drive. (Harmless double-drive on
+            // the level-triggered portable backend.)
             self.pending.push(slot);
         }
 

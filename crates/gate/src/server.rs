@@ -29,33 +29,12 @@ use std::time::Duration;
 
 use cos_ctrl::Controller;
 use cos_obs::Registry;
-use cos_par::poller::{SyscallCounters, SyscallSnapshot, TriggerMode, Waker};
+use cos_par::poller::{SyscallCounters, SyscallSnapshot, Waker};
 use cos_serve::ServiceClient;
 
 use crate::http::{ParserLimits, Response};
 use crate::obs::GateObs;
 use crate::reactor;
-
-/// How accepted connections are distributed across reactor threads.
-///
-/// Ignored by [`Gate::serve`] (an externally bound listener is
-/// necessarily shared).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcceptMode {
-    /// One listener per reactor thread in a `SO_REUSEPORT` group: the
-    /// kernel spreads connections across reactors and an accept edge
-    /// wakes exactly one thread. The default. Requires [`Gate::bind`] on
-    /// Linux with an IPv4 address and more than one reactor thread;
-    /// anywhere else the gate silently serves in [`AcceptMode::Shared`]
-    /// (check [`Gate::accept_sharded`]). Admission accounting stays
-    /// global, so `max_connections`, the over-capacity `503`, and the
-    /// lingering-reject protocol are identical in both modes.
-    #[default]
-    Sharded,
-    /// Every reactor polls one shared listener and accepts race (the
-    /// losers see `WouldBlock`). Works everywhere.
-    Shared,
-}
 
 /// Front-door knobs.
 #[derive(Debug, Clone)]
@@ -83,13 +62,6 @@ pub struct GateConfig {
     /// [`cos_par::default_workers`] — the machine's available
     /// parallelism.
     pub reactor_threads: usize,
-    /// How the reactors' pollers report readiness (edge-triggered by
-    /// default — see DESIGN §15; level-triggered is kept as the
-    /// behavioral comparison point for `perf_baseline`).
-    pub trigger_mode: TriggerMode,
-    /// How accepted connections reach reactor threads (sharded
-    /// `SO_REUSEPORT` listeners where the platform allows, by default).
-    pub accept_mode: AcceptMode,
 }
 
 impl Default for GateConfig {
@@ -102,8 +74,6 @@ impl Default for GateConfig {
             obs: Registry::new(),
             controller: None,
             reactor_threads: 0,
-            trigger_mode: TriggerMode::Edge,
-            accept_mode: AcceptMode::default(),
         }
     }
 }
@@ -188,18 +158,6 @@ impl GateConfigBuilder {
         self
     }
 
-    /// Poller trigger mode for the reactors (edge by default).
-    pub fn trigger_mode(mut self, mode: TriggerMode) -> Self {
-        self.config.trigger_mode = mode;
-        self
-    }
-
-    /// Accept distribution across reactors (sharded by default).
-    pub fn accept_mode(mut self, mode: AcceptMode) -> Self {
-        self.config.accept_mode = mode;
-        self
-    }
-
     /// Validates and produces the config.
     pub fn build(self) -> Result<GateConfig, InvalidConfig> {
         let err = |field: &'static str, reason: String| Err(InvalidConfig { field, reason });
@@ -274,18 +232,21 @@ impl Gate {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
     /// the reactors, serving `client`'s service.
     ///
-    /// With [`AcceptMode::Sharded`] (the default) this binds one listener
-    /// per reactor thread in a `SO_REUSEPORT` group where the platform
-    /// allows (Linux, IPv4, ≥ 2 reactors), falling back silently to a
-    /// shared listener anywhere else.
+    /// Accepts are sharded: this binds one listener per reactor thread in
+    /// a `SO_REUSEPORT` group wherever that works (Linux, IPv4, ≥ 2
+    /// reactors), so the kernel spreads connections across reactors. If
+    /// the group cannot form — another platform, an IPv6 address, one
+    /// reactor, or a failed group bind — it falls back to one shared
+    /// listener; [`Gate::accept_sharded`] reports which path was taken.
+    /// Admission accounting is global on both paths, so `max_connections`,
+    /// the over-capacity `503` and the lingering-reject protocol behave
+    /// identically.
     pub fn bind(addr: &str, client: ServiceClient, config: GateConfig) -> std::io::Result<Gate> {
-        if config.accept_mode == AcceptMode::Sharded {
-            let threads = resolved_reactor_threads(&config);
-            if threads > 1 {
-                if let Ok(listeners) = reuseport::bind_group(addr, threads) {
-                    let listeners = listeners.into_iter().map(Arc::new).collect();
-                    return Gate::serve_reactors(listeners, true, client, config);
-                }
+        let threads = resolved_reactor_threads(&config);
+        if threads > 1 {
+            if let Ok(listeners) = reuseport::bind_group(addr, threads) {
+                let listeners = listeners.into_iter().map(Arc::new).collect();
+                return Gate::serve_reactors(listeners, true, client, config);
             }
         }
         let listener = TcpListener::bind(addr)?;
@@ -294,8 +255,7 @@ impl Gate {
 
     /// Starts serving on an already-bound listener. A single externally
     /// bound listener cannot join a `SO_REUSEPORT` group after the fact,
-    /// so this always runs shared-accept regardless of
-    /// [`GateConfig::accept_mode`].
+    /// so every reactor accepts from this one shared listener.
     pub fn serve(
         listener: TcpListener,
         client: ServiceClient,
@@ -458,13 +418,19 @@ mod reuseport {
     /// *before* bind — the kernel only admits a socket into a reuseport
     /// group if the flag is set at bind time.
     fn bind_one(ip: [u8; 4], port: u16) -> io::Result<TcpListener> {
-        // SAFETY: plain syscalls on owned values; the fd is wrapped in an
-        // OwnedFd immediately so every error path below closes it.
+        // SAFETY: `socket` takes three plain integers and touches no
+        // memory of ours; a negative return is turned into an `Err` by
+        // `check` before the value is used as a descriptor.
         let fd = check(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
+        // SAFETY: `fd` was just returned by a successful `socket` call, so
+        // it is open and owned by nothing else; wrapping it at once means
+        // every `?` below closes it exactly once.
         let owned = unsafe { OwnedFd::from_raw_fd(fd) };
         let one: c_int = 1;
         for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            // SAFETY: optval points at a live c_int of the stated length.
+            // SAFETY: `optval` points at `one`, a live `c_int` on this
+            // stack frame, and `optlen` is exactly its size; the kernel
+            // only reads it during the call.
             check(unsafe {
                 setsockopt(
                     fd,
@@ -481,9 +447,12 @@ mod reuseport {
             addr: u32::from_be_bytes(ip).to_be(),
             zero: [0; 8],
         };
-        // SAFETY: `sa` is a properly initialized sockaddr_in of the
-        // stated length.
+        // SAFETY: `sa` is a fully initialized `#[repr(C)]` sockaddr_in
+        // that outlives the call, and the length passed is its size; the
+        // kernel only reads it.
         check(unsafe { bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) })?;
+        // SAFETY: `listen` takes two plain integers and touches no memory
+        // of ours; `fd` is still open because `owned` holds it.
         check(unsafe { listen(fd, BACKLOG) })?;
         Ok(TcpListener::from(owned))
     }
@@ -663,6 +632,25 @@ mod tests {
         assert!(text.contains("cos_gate_parse_errors_total 1"), "{text}");
     }
 
+    /// Blocks until exactly `n` connections hold admitted slots. A test
+    /// that pins the cap must not race the reactors' accepts: with several
+    /// reactors, a later connection can be accepted on one thread before
+    /// an earlier one is on another, and a slow box stretches any sleep.
+    fn wait_for_active(gate: &Gate, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let active = *gate.shared.active.lock().expect("active lock");
+            if active == n {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{active} admitted connections, want {n}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn over_capacity_connections_get_503() {
         let service = spawn_service();
@@ -674,7 +662,7 @@ mod tests {
         // Hold one connection open mid-request to pin the slot.
         let mut held = TcpStream::connect(gate.local_addr()).unwrap();
         held.write_all(b"GET /v1/status HTTP/1.1\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        wait_for_active(&gate, 1);
         let reply = roundtrip(
             gate.local_addr(),
             b"GET /v1/status HTTP/1.1\r\nHost: gate\r\n\r\n",
@@ -698,14 +686,16 @@ mod tests {
         };
         let gate = Gate::bind("127.0.0.1:0", service.client(), config).unwrap();
         for cycle in 0..3 {
-            // Pin both slots with half-sent requests.
+            // Pin both slots with half-sent requests, once the previous
+            // cycle's connections have all closed.
+            wait_for_active(&gate, 0);
             let mut held = Vec::new();
             for _ in 0..2 {
                 let mut s = TcpStream::connect(gate.local_addr()).unwrap();
                 s.write_all(b"GET /v1/status HTTP/1.1\r\n").unwrap();
                 held.push(s);
             }
-            std::thread::sleep(Duration::from_millis(100));
+            wait_for_active(&gate, 2);
             let reply = roundtrip(
                 gate.local_addr(),
                 b"GET /v1/status HTTP/1.1\r\nHost: gate\r\n\r\n",
@@ -811,21 +801,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_mode_and_reactor_threads() {
-        let built = GateConfig::builder()
-            .reactor_threads(3)
-            .trigger_mode(TriggerMode::Level)
-            .accept_mode(AcceptMode::Shared)
-            .build()
-            .unwrap();
+    fn builder_selects_reactor_threads() {
+        let built = GateConfig::builder().reactor_threads(3).build().unwrap();
         assert_eq!(built.reactor_threads, 3);
-        assert_eq!(built.trigger_mode, TriggerMode::Level);
-        assert_eq!(built.accept_mode, AcceptMode::Shared);
-        // reactor_threads = 0 means "auto" and is valid; edge-triggered
-        // sharded accept is the default.
+        // reactor_threads = 0 means "auto" and is valid.
         assert_eq!(GateConfig::default().reactor_threads, 0);
-        assert_eq!(GateConfig::default().trigger_mode, TriggerMode::Edge);
-        assert_eq!(GateConfig::default().accept_mode, AcceptMode::Sharded);
     }
 
     /// `Gate::bind` shards accepts across a
@@ -853,6 +833,67 @@ mod tests {
             );
         }
         gate.shutdown();
+    }
+
+    /// Eight gates bind concurrently, each forming its own two-listener
+    /// `SO_REUSEPORT` group on an ephemeral port: every group forms (on
+    /// Linux), and every gate answers on its own port.
+    #[test]
+    fn concurrent_sharded_binds_each_form_a_group_and_serve() {
+        let service = spawn_service();
+        let config = GateConfig {
+            reactor_threads: 2,
+            ..quick_config()
+        };
+        // Release all eight binds at once so their group binds overlap.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            let binds: Vec<_> = (0..8)
+                .map(|_| {
+                    let client = service.client();
+                    let config = config.clone();
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        let gate = Gate::bind("127.0.0.1:0", client, config).expect("bind");
+                        assert_eq!(gate.accept_sharded(), cfg!(target_os = "linux"));
+                        let reply = roundtrip(
+                            gate.local_addr(),
+                            b"GET /v1/status HTTP/1.1\r\nHost: gate\r\nConnection: close\r\n\r\n",
+                        );
+                        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+                        gate
+                    })
+                })
+                .collect();
+            let gates: Vec<Gate> = binds.into_iter().map(|b| b.join().unwrap()).collect();
+            let mut ports: Vec<u16> = gates.iter().map(|g| g.local_addr().port()).collect();
+            ports.sort_unstable();
+            ports.dedup();
+            assert_eq!(ports.len(), 8, "each gate owns its own port");
+            for gate in gates {
+                gate.shutdown();
+            }
+        });
+    }
+
+    /// A port held by a plain listener (no `SO_REUSEPORT`) refuses the
+    /// group bind and the shared fallback alike: `Gate::bind` returns
+    /// `AddrInUse` instead of panicking or hanging.
+    #[test]
+    fn bind_on_a_held_port_is_addr_in_use() {
+        let service = spawn_service();
+        let held = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap().to_string();
+        let config = GateConfig {
+            reactor_threads: 2,
+            ..quick_config()
+        };
+        let err = Gate::bind(&addr, service.client(), config)
+            .err()
+            .expect("a held port must not bind");
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+        drop(held);
     }
 
     /// An externally bound listener cannot join a reuseport group, so
